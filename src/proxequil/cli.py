@@ -18,14 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, build_problem, build_solver_config, parse_config
+from .config import RunConfig, build_problem, parse_config
 from .errors import ProxequilError
 from .gap import GapModel, descent_solve, gap_value
 from .model import SolverConfig, Status, Trace, UREProblem, problem_residual
 from .oracle import GridSpec, grid_solve
 from .schemes import (
     SubproblemSpec,
-    default_step_size,
+    _resolve_lam,
     explicit_solve,
     fejer_check,
     inertial_proximal_solve,
@@ -40,9 +40,9 @@ _STATUS_CODE = {
 }
 
 
-def _gap_model(p: UREProblem, rc: RunConfig) -> GapModel:
-    if rc.alpha is not None:
-        return GapModel(p, alpha=rc.alpha)
+def _gap_model(p: UREProblem, cfg: SolverConfig) -> GapModel:
+    if cfg.alpha is not None:
+        return GapModel(p, alpha=cfg.alpha)
     if np.isinf(p.r):
         # k/r has no meaning here; any positive weight gives a valid gap.
         return GapModel(p, alpha=p.k)
@@ -65,7 +65,7 @@ def _write_trace(path: Path, trace: Trace) -> None:
 
 
 def _verify_steps(p: UREProblem, cfg: SolverConfig, rc: RunConfig, trace: Trace) -> tuple[bool, float]:
-    lam = cfg.lam if cfg.lam is not None else default_step_size(p, cfg.seed)
+    lam = _resolve_lam(p, cfg)
     gamma = 0.0 if rc.scheme == "proximal" else cfg.gamma
     pts = [r.point for r in trace.records]
     passed = True
@@ -88,7 +88,7 @@ def execute(
     """Run one config and write its outputs; returns the process exit code."""
     try:
         p = build_problem(rc)
-        cfg = build_solver_config(rc)
+        cfg = rc.solver
         if seed is not None:
             cfg = replace(cfg, seed=seed)
         u0 = np.array(rc.start, dtype=float)
@@ -100,7 +100,7 @@ def execute(
         elif rc.scheme == "explicit":
             trace = explicit_solve(p, cfg, u0)
         else:
-            trace = descent_solve(_gap_model(p, rc), cfg, u0)
+            trace = descent_solve(_gap_model(p, cfg), cfg, u0)
 
         final = trace.final_point
         summary: dict = {
@@ -113,25 +113,29 @@ def execute(
         except ProxequilError:
             summary["final_residual"] = None
         try:
-            summary["final_gap"] = gap_value(_gap_model(p, rc), final, cfg)
+            summary["final_gap"] = gap_value(_gap_model(p, cfg), final, cfg)
         except ProxequilError:
             summary["final_gap"] = None
 
         code = _STATUS_CODE[trace.status]
-        want_oracle = oracle or rc.oracle_enabled
-        if want_oracle:
-            res = grid_solve(p, GridSpec(rc.oracle_resolution))
-            distance = float(np.linalg.norm(final - res.point))
-            summary["oracle_point"] = [float(x) for x in res.point]
-            summary["oracle_distance"] = distance
-            if rc.scheme in ("proximal", "inertial"):
-                summary["fejer_passed"] = fejer_check(trace, res.point, p.kappa).passed
-            if code == 0 and distance > rc.oracle_tol:
-                code = 4
-        if verify and rc.scheme in ("proximal", "inertial"):
-            ok, worst = _verify_steps(p, cfg, rc, trace)
-            summary["subproblem_check_passed"] = ok
-            summary["subproblem_check_worst"] = worst
+        try:
+            if oracle or rc.oracle_enabled:
+                res = grid_solve(p, GridSpec(rc.oracle_resolution))
+                distance = float(np.linalg.norm(final - res.point))
+                summary["oracle_point"] = [float(x) for x in res.point]
+                summary["oracle_distance"] = distance
+                if rc.scheme in ("proximal", "inertial"):
+                    summary["fejer_passed"] = fejer_check(trace, res.point, p.kappa).passed
+                if code == 0 and distance > rc.oracle_tol:
+                    code = 4
+            if verify and rc.scheme in ("proximal", "inertial"):
+                ok, worst = _verify_steps(p, cfg, rc, trace)
+                summary["subproblem_check_passed"] = ok
+                summary["subproblem_check_worst"] = worst
+        except ProxequilError as exc:
+            # The solve finished: keep its outputs and its own failure code.
+            print(f"proxequil: audit failed: {exc}", file=sys.stderr)
+            code = code or 1
 
         base = Path(out_dir) if out_dir is not None else Path(".")
         _write_trace(base / rc.trace_path, trace)

@@ -11,7 +11,7 @@ written to a file) reproduces the RunConfig exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,16 @@ from .model import Bifunction, SolverConfig, UREProblem, make_vi_bifunction
 
 SCHEMES = ("proximal", "inertial", "explicit", "descent")
 BIFUNCTION_KINDS = ("affine_vi", "zero")
+
+# field annotation -> config value type, for the dataclasses whose fields are
+# config keys: the set classes (problem.set.*) and SolverConfig (solver.*)
+_FIELD_TYPES = {"Array": "vector", "float": "scalar", "float | None": "scalar_or_auto", "int": "int"}
+
+# SolverConfig field -> config key; lam is spelled solver.lambda, the name
+# the field cannot have because lambda is a Python keyword
+_SOLVER_KEYS = {
+    f.name: "solver.lambda" if f.name == "lam" else f"solver.{f.name}" for f in fields(SolverConfig)
+}
 
 # key -> value type used by the parser and emitter
 _SCHEMA = {
@@ -32,45 +42,17 @@ _SCHEMA = {
     "problem.bifunction.matrix": "matrix",
     "problem.bifunction.offset": "vector",
     "problem.set.kind": "string",
-    "problem.set.lower": "vector",
-    "problem.set.upper": "vector",
-    "problem.set.center": "vector",
-    "problem.set.radius": "scalar",
-    "problem.set.normal": "vector",
-    "problem.set.offset": "scalar",
-    "problem.set.window_lower": "vector",
-    "problem.set.window_upper": "vector",
-    "problem.set.inner_radius": "scalar",
-    "problem.set.outer_radius": "scalar",
-    "problem.set.center_a": "vector",
-    "problem.set.radius_a": "scalar",
-    "problem.set.center_b": "vector",
-    "problem.set.radius_b": "scalar",
-    "solver.lambda": "scalar_or_auto",
-    "solver.gamma": "scalar",
-    "solver.alpha": "scalar_or_auto",
-    "solver.outer_tol": "scalar",
-    "solver.inner_tol": "scalar",
-    "solver.max_outer": "int",
-    "solver.max_inner": "int",
-    "solver.line_search_tol": "scalar",
-    "solver.seed": "int",
+    **{
+        f"problem.set.{f.name}": _FIELD_TYPES[f.type]
+        for cls in SET_KINDS.values()
+        for f in fields(cls)
+    },
+    **{_SOLVER_KEYS[f.name]: _FIELD_TYPES[f.type] for f in fields(SolverConfig)},
     "oracle.enabled": "bool",
     "oracle.resolution": "int",
     "oracle.tol": "scalar",
     "output.trace": "string",
     "output.summary": "string",
-}
-
-# required set parameters (beyond problem.set.kind) per kind
-_SET_PARAMS = {
-    "box": ("lower", "upper"),
-    "ball": ("center", "radius"),
-    "halfspace": ("normal", "offset", "window_lower", "window_upper"),
-    "sphere": ("center", "radius"),
-    "annulus": ("center", "inner_radius", "outer_radius"),
-    "box_minus_ball": ("lower", "upper", "center", "radius"),
-    "two_ball_union": ("center_a", "radius_a", "center_b", "radius_b"),
 }
 
 _REQUIRED = (
@@ -85,7 +67,12 @@ _REQUIRED = (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One solver run, fully described by plain values (comparable, hashable)."""
+    """One solver run, fully described by plain values (comparable, hashable).
+
+    set_params holds the (field, value) pairs of the set class named by
+    set_kind, sorted by field name; they are its problem.set.* keys. solver
+    holds the solver.* keys and is handed to the schemes as it is.
+    """
 
     scheme: str
     k: float
@@ -96,15 +83,7 @@ class RunConfig:
     set_params: tuple[tuple[str, object], ...]
     matrix: tuple[tuple[float, ...], ...] | None = None
     offset: tuple[float, ...] | None = None
-    lam: float | None = None
-    gamma: float = 0.2
-    alpha: float | None = None
-    outer_tol: float = 1e-8
-    inner_tol: float = 1e-12
-    max_outer: int = 500
-    max_inner: int = 400
-    line_search_tol: float = 1e-8
-    seed: int = 0
+    solver: SolverConfig = SolverConfig()
     oracle_enabled: bool = False
     oracle_resolution: int = 400
     oracle_tol: float = 2e-2
@@ -215,8 +194,8 @@ def _validate(pairs: dict[str, object], problems: list[str]) -> None:
     r = pairs.get("problem.r")
     if r is not None and not r > 0:
         problems.append(f"problem.r must be positive; got {r!r}")
-    if skind in _SET_PARAMS:
-        wanted = _SET_PARAMS[skind]
+    if skind in SET_KINDS:
+        wanted = [f.name for f in fields(SET_KINDS[skind])]
         for name in wanted:
             if f"problem.set.{name}" not in pairs:
                 problems.append(f"set kind {skind} needs problem.set.{name}")
@@ -281,15 +260,6 @@ def parse_config(path: str) -> RunConfig:
         offset=pairs.get("problem.bifunction.offset"),
     )
     optional = {
-        "solver.lambda": "lam",
-        "solver.gamma": "gamma",
-        "solver.alpha": "alpha",
-        "solver.outer_tol": "outer_tol",
-        "solver.inner_tol": "inner_tol",
-        "solver.max_outer": "max_outer",
-        "solver.max_inner": "max_inner",
-        "solver.line_search_tol": "line_search_tol",
-        "solver.seed": "seed",
         "oracle.enabled": "oracle_enabled",
         "oracle.resolution": "oracle_resolution",
         "oracle.tol": "oracle_tol",
@@ -299,9 +269,10 @@ def parse_config(path: str) -> RunConfig:
     for key, attr in optional.items():
         if key in pairs:
             kwargs[attr] = pairs[key]
-    rc = RunConfig(**kwargs)
 
     try:
+        solver = SolverConfig(**{name: pairs[key] for name, key in _SOLVER_KEYS.items() if key in pairs})
+        rc = RunConfig(**kwargs, solver=solver)
         build_problem(rc)
     except (ValueError, ProxequilError) as exc:
         raise ValidationError([str(exc)]) from exc
@@ -324,17 +295,9 @@ def emit_config(rc: RunConfig) -> str:
     lines.append(("problem.set.kind", rc.set_kind))
     for name, value in rc.set_params:
         lines.append((f"problem.set.{name}", value))
+    lines.extend((key, getattr(rc.solver, name)) for name, key in _SOLVER_KEYS.items())
     lines.extend(
         [
-            ("solver.lambda", rc.lam),
-            ("solver.gamma", rc.gamma),
-            ("solver.alpha", rc.alpha),
-            ("solver.outer_tol", rc.outer_tol),
-            ("solver.inner_tol", rc.inner_tol),
-            ("solver.max_outer", rc.max_outer),
-            ("solver.max_inner", rc.max_inner),
-            ("solver.line_search_tol", rc.line_search_tol),
-            ("solver.seed", rc.seed),
             ("oracle.enabled", rc.oracle_enabled),
             ("oracle.resolution", rc.oracle_resolution),
             ("oracle.tol", rc.oracle_tol),
@@ -373,20 +336,6 @@ def build_bifunction(rc: RunConfig) -> Bifunction:
     return make_vi_bifunction(T, JT=lambda u: A)
 
 
-def build_solver_config(rc: RunConfig) -> SolverConfig:
-    return SolverConfig(
-        lam=rc.lam,
-        gamma=rc.gamma,
-        alpha=rc.alpha,
-        outer_tol=rc.outer_tol,
-        inner_tol=rc.inner_tol,
-        max_outer=rc.max_outer,
-        max_inner=rc.max_inner,
-        line_search_tol=rc.line_search_tol,
-        seed=rc.seed,
-    )
-
-
 def build_problem(rc: RunConfig) -> UREProblem:
     s = build_set(rc)
     if len(rc.start) != s.dim:
@@ -395,5 +344,4 @@ def build_problem(rc: RunConfig) -> UREProblem:
     p = UREProblem(bifunction=f, feasible_set=s, k=rc.k, r=rc.r)
     if not s.contains(np.array(rc.start)):
         raise ValueError("problem.start is not in the feasible set")
-    build_solver_config(rc)
     return p

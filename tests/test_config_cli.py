@@ -3,14 +3,15 @@
 import json
 import math
 import shutil
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from proxequil import ParseError, ValidationError, emit_config, parse_config
+from proxequil import ParseError, RunConfig, ValidationError, config, emit_config, parse_config
 from proxequil.cli import main
+from problems import shipped_sets
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -38,11 +39,11 @@ def test_minimal_config_fills_defaults(tmp_path):
     rc = parse_config(_write(tmp_path, MINIMAL))
     assert rc.scheme == "proximal"
     assert rc.start == (0.0, -1.0)
-    assert rc.lam is None and rc.alpha is None
-    assert rc.gamma == 0.2
-    assert rc.outer_tol == 1e-8
-    assert rc.max_outer == 500
-    assert rc.seed == 0
+    assert rc.solver.lam is None and rc.solver.alpha is None
+    assert rc.solver.gamma == 0.2
+    assert rc.solver.outer_tol == 1e-8
+    assert rc.solver.max_outer == 500
+    assert rc.solver.seed == 0
     assert rc.oracle_enabled is False
     assert rc.oracle_resolution == 400
     assert rc.trace_path == "trace.csv"
@@ -104,9 +105,43 @@ def test_shipped_configs_round_trip(tmp_path):
 
 def test_round_trip_inf_and_auto(tmp_path):
     rc = parse_config(_write(tmp_path, MINIMAL))
-    rc = replace(rc, r=math.inf, lam=None, alpha=2.0, oracle_enabled=True)
+    rc = replace(rc, r=math.inf, solver=replace(rc.solver, lam=None, alpha=2.0), oracle_enabled=True)
     again = parse_config(_write(tmp_path, emit_config(rc), name="echo.cfg"))
     assert again == rc
+
+
+@pytest.mark.parametrize("s", shipped_sets(), ids=lambda s: s.kind)
+def test_every_set_kind_round_trips(tmp_path, s):
+    # problem.set.* keys and their value types come from the set's fields:
+    # a halfspace offset is a scalar, a bifunction offset a vector.
+    params = {f.name: getattr(s, f.name) for f in fields(s)}
+    plain = {
+        name: tuple(v.tolist()) if isinstance(v, np.ndarray) else float(v)
+        for name, v in params.items()
+    }
+    rc = RunConfig(
+        scheme="proximal",
+        k=1.0,
+        r=1.0,
+        start=tuple(s.project(np.zeros(s.dim)).point.tolist()),
+        bifunction_kind="zero",
+        set_kind=s.kind,
+        set_params=tuple(sorted(plain.items())),
+    )
+    again = parse_config(_write(tmp_path, emit_config(rc)))
+    assert again == rc
+    built = config.build_set(again)
+    assert type(built) is type(s)
+    for name, value in params.items():
+        np.testing.assert_array_equal(getattr(built, name), value)
+
+
+def test_solver_config_rejection_is_a_validation_error(tmp_path, monkeypatch):
+    # parse_config builds the SolverConfig, so its checks back up _validate's.
+    monkeypatch.setattr(config, "_validate", lambda pairs, problems: None)
+    with pytest.raises(ValidationError) as err:
+        parse_config(_write(tmp_path, MINIMAL + "solver.gamma = 1.5\n"))
+    assert "gamma" in str(err.value)
 
 
 def test_cli_run_with_oracle(tmp_path):
@@ -159,6 +194,31 @@ def test_cli_exit_oracle_disagreement(tmp_path):
     np.testing.assert_allclose(summary["final_point"], [1.0, 0.0], atol=1e-8)
     np.testing.assert_allclose(summary["oracle_point"], [-1.005, 0.0], atol=1e-12)
     assert summary["oracle_distance"] > 2.0
+
+
+def test_cli_audit_error_keeps_solve_outputs(tmp_path, capsys):
+    # The grid oracle stops above dimension 3; the converged solve still counts.
+    ball4 = """\
+scheme = proximal
+problem.k = 1.0
+problem.r = 1.0
+problem.start = 0.0, 0.0, 0.0, 0.0
+problem.bifunction.kind = affine_vi
+problem.bifunction.matrix = 1, 0, 0, 0; 0, 1, 0, 0; 0, 0, 1, 0; 0, 0, 0, 1
+problem.bifunction.offset = -2.0, 0.0, 0.0, 0.0
+problem.set.kind = ball
+problem.set.center = 0.0, 0.0, 0.0, 0.0
+problem.set.radius = 1.0
+solver.lambda = 0.5
+"""
+    out = tmp_path / "out"
+    code = main(["run", _write(tmp_path, ball4), "--oracle", "--out", str(out)])
+    assert code == 1
+    assert "proxequil: audit failed:" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "converged"
+    np.testing.assert_allclose(summary["final_point"], [1.0, 0.0, 0.0, 0.0], atol=1e-6)
+    assert (out / "trace.csv").exists()
 
 
 def test_cli_input_errors(tmp_path, capsys):
