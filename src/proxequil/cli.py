@@ -201,6 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override solver.seed")
     parser.add_argument("--verify", action="store_true", help="audit accepted steps by sampled inequalities")
     ns = parser.parse_args(argv)
+    if ns.seed is not None and ns.seed < 0:
+        print(f"proxequil: --seed must be nonnegative; got {ns.seed}", file=sys.stderr)
+        return 1
 
     if ns.suite is not None:
         if ns.args:

@@ -223,6 +223,9 @@ def _validate(pairs: dict[str, object], problems: list[str]) -> None:
     alpha = pairs.get("solver.alpha")
     if alpha is not None and not alpha > 0:
         problems.append(f"solver.alpha must be positive or auto; got {alpha!r}")
+    seed = pairs.get("solver.seed")
+    if seed is not None and seed < 0:
+        problems.append(f"solver.seed must be nonnegative; got {seed!r}")
     for key in ("solver.max_outer", "solver.max_inner", "oracle.resolution"):
         val = pairs.get(key)
         if val is not None and val < (2 if key == "oracle.resolution" else 1):

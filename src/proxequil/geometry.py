@@ -79,7 +79,7 @@ class ConstraintSet:
     """Shared behavior for all set kinds.
 
     Subclasses provide ``dim``, ``prox_constant``, ``bounding_box``,
-    ``_distance_batch`` and ``project``; everything else is derived.
+    ``_distance_batch`` and ``_nearest``; everything else is derived.
     """
 
     kind: ClassVar[str] = "abstract"
@@ -100,10 +100,20 @@ class ConstraintSet:
     def _distance_batch(self, X: Array) -> Array:
         raise NotImplementedError
 
-    def project(self, x, strict_uniqueness: bool = False) -> ProjectionResult:
+    def _nearest(self, x: Array) -> tuple[Array, bool]:
+        """A nearest point of the set to the validated x, and whether it is
+        the only one."""
         raise NotImplementedError
 
     # ---- derived operations -------------------------------------------------
+
+    def project(self, x, strict_uniqueness: bool = False) -> ProjectionResult:
+        """Nearest point of the set to x; with strict_uniqueness, raise
+        DegenerateProjection where the nearest point is not unique."""
+        p, unique = self._nearest(as_vector(x, self.dim))
+        if strict_uniqueness and not unique:
+            raise DegenerateProjection(f"{self.kind}: nearest point is not unique")
+        return ProjectionResult(p, unique)
 
     def distance(self, x) -> float:
         x = as_vector(x, self.dim)
@@ -115,14 +125,11 @@ class ConstraintSet:
             tol = default_tol(x)
         return bool(self._distance_batch(x[None, :])[0] <= tol)
 
-    def contains_batch(self, X: Array, tol: float | None = None) -> Array:
+    def contains_batch(self, X: Array) -> Array:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DimensionMismatch(f"expected (n, {self.dim}) array, got {X.shape}")
-        d = self._distance_batch(X)
-        if tol is None:
-            return d <= MEMBERSHIP_TOL * (1.0 + np.linalg.norm(X, axis=1))
-        return d <= tol
+        return self._distance_batch(X) <= MEMBERSHIP_TOL * (1.0 + np.linalg.norm(X, axis=1))
 
     def sample(self, n: int, seed: int) -> Array:
         """n points of the set, uniform over the bounding box conditioned on
@@ -182,11 +189,6 @@ class ConstraintSet:
         worst = float(violation[i])
         return NormalCheckReport(worst <= 1e-9, worst, V[i], n_samples, r)
 
-    def _resolve(self, p: Array, unique: bool, strict: bool) -> ProjectionResult:
-        if strict and not unique:
-            raise DegenerateProjection(f"{self.kind}: nearest point is not unique")
-        return ProjectionResult(p, unique)
-
 
 @dataclass(frozen=True, eq=False)
 class Box(ConstraintSet):
@@ -216,9 +218,8 @@ class Box(ConstraintSet):
     def _distance_batch(self, X: Array) -> Array:
         return np.linalg.norm(X - np.clip(X, self.lower, self.upper), axis=1)
 
-    def project(self, x, strict_uniqueness: bool = False) -> ProjectionResult:
-        x = as_vector(x, self.dim)
-        return self._resolve(np.clip(x, self.lower, self.upper), True, strict_uniqueness)
+    def _nearest(self, x: Array) -> tuple[Array, bool]:
+        return np.clip(x, self.lower, self.upper), True
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,13 +251,11 @@ class Ball(ConstraintSet):
         d = np.linalg.norm(X - self.center, axis=1) - self.radius
         return np.maximum(d, 0.0)
 
-    def project(self, x, strict_uniqueness: bool = False) -> ProjectionResult:
-        x = as_vector(x, self.dim)
+    def _nearest(self, x: Array) -> tuple[Array, bool]:
         d = float(np.linalg.norm(x - self.center))
         if d <= self.radius:
-            return self._resolve(x, True, strict_uniqueness)
-        p = self.center + self.radius * (x - self.center) / d
-        return self._resolve(p, True, strict_uniqueness)
+            return x, True
+        return self.center + self.radius * (x - self.center) / d, True
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,13 +301,11 @@ class Halfspace(ConstraintSet):
         excess = (X @ self.normal - self.offset) / np.linalg.norm(self.normal)
         return np.maximum(excess, 0.0)
 
-    def project(self, x, strict_uniqueness: bool = False) -> ProjectionResult:
-        x = as_vector(x, self.dim)
+    def _nearest(self, x: Array) -> tuple[Array, bool]:
         excess = float(x @ self.normal - self.offset)
         if excess <= 0:
-            return self._resolve(x, True, strict_uniqueness)
-        p = x - excess / float(self.normal @ self.normal) * self.normal
-        return self._resolve(p, True, strict_uniqueness)
+            return x, True
+        return x - excess / float(self.normal @ self.normal) * self.normal, True
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,14 +336,13 @@ class Sphere(ConstraintSet):
     def _distance_batch(self, X: Array) -> Array:
         return np.abs(np.linalg.norm(X - self.center, axis=1) - self.radius)
 
-    def project(self, x, strict_uniqueness: bool = False) -> ProjectionResult:
-        x = as_vector(x, self.dim)
+    def _nearest(self, x: Array) -> tuple[Array, bool]:
         d = float(np.linalg.norm(x - self.center))
         if d <= 1e-13:
             p = self.center.copy()
             p[0] += self.radius
-            return self._resolve(p, False, strict_uniqueness)
-        return self._resolve(self.center + self.radius * (x - self.center) / d, True, strict_uniqueness)
+            return p, False
+        return self.center + self.radius * (x - self.center) / d, True
 
     def sample(self, n: int, seed: int) -> Array:
         # Surface kind: direct sampling, rejection would never terminate.
@@ -392,18 +388,17 @@ class Annulus(ConstraintSet):
         d = np.linalg.norm(X - self.center, axis=1)
         return np.maximum(0.0, np.maximum(self.inner_radius - d, d - self.outer_radius))
 
-    def project(self, x, strict_uniqueness: bool = False) -> ProjectionResult:
-        x = as_vector(x, self.dim)
+    def _nearest(self, x: Array) -> tuple[Array, bool]:
         d = float(np.linalg.norm(x - self.center))
         if d <= 1e-13:
             p = self.center.copy()
             p[0] += self.inner_radius
-            return self._resolve(p, False, strict_uniqueness)
+            return p, False
         if d < self.inner_radius:
-            return self._resolve(self.center + self.inner_radius * (x - self.center) / d, True, strict_uniqueness)
+            return self.center + self.inner_radius * (x - self.center) / d, True
         if d > self.outer_radius:
-            return self._resolve(self.center + self.outer_radius * (x - self.center) / d, True, strict_uniqueness)
-        return self._resolve(x, True, strict_uniqueness)
+            return self.center + self.outer_radius * (x - self.center) / d, True
+        return x, True
 
 
 @dataclass(frozen=True, eq=False)
@@ -452,19 +447,18 @@ class BoxMinusBall(ConstraintSet):
         in_box = to_box == 0.0
         return np.where(in_box, np.maximum(self.radius - radial, 0.0), to_box)
 
-    def project(self, x, strict_uniqueness: bool = False) -> ProjectionResult:
-        x = as_vector(x, self.dim)
+    def _nearest(self, x: Array) -> tuple[Array, bool]:
         clipped = np.clip(x, self.lower, self.upper)
         if np.any(clipped != x):
-            return self._resolve(clipped, True, strict_uniqueness)
+            return clipped, True
         d = float(np.linalg.norm(x - self.center))
         if d >= self.radius:
-            return self._resolve(x, True, strict_uniqueness)
+            return x, True
         if d <= 1e-13:
             p = self.center.copy()
             p[0] += self.radius
-            return self._resolve(p, False, strict_uniqueness)
-        return self._resolve(self.center + self.radius * (x - self.center) / d, True, strict_uniqueness)
+            return p, False
+        return self.center + self.radius * (x - self.center) / d, True
 
 
 @dataclass(frozen=True, eq=False)
@@ -509,20 +503,19 @@ class TwoBallUnion(ConstraintSet):
         db = np.maximum(np.linalg.norm(X - self.center_b, axis=1) - self.radius_b, 0.0)
         return np.minimum(da, db)
 
-    def project(self, x, strict_uniqueness: bool = False) -> ProjectionResult:
-        x = as_vector(x, self.dim)
+    def _nearest(self, x: Array) -> tuple[Array, bool]:
         da = float(np.linalg.norm(x - self.center_a)) - self.radius_a
         db = float(np.linalg.norm(x - self.center_b)) - self.radius_b
         if da <= 0 or db <= 0:
-            return self._resolve(x, True, strict_uniqueness)
+            return x, True
         pa = self.center_a + self.radius_a * (x - self.center_a) / (da + self.radius_a)
         pb = self.center_b + self.radius_b * (x - self.center_b) / (db + self.radius_b)
         tie = 1e-12 * (1.0 + float(np.linalg.norm(x)))
         if abs(da - db) <= tie:
             # Equidistant locus: deterministic tie-break on the centers.
             first_a = tuple(self.center_a) <= tuple(self.center_b)
-            return self._resolve(pa if first_a else pb, False, strict_uniqueness)
-        return self._resolve(pa if da < db else pb, True, strict_uniqueness)
+            return pa if first_a else pb, False
+        return pa if da < db else pb, True
 
 
 SET_KINDS = {

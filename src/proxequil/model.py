@@ -160,30 +160,23 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration budgets must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
-def problem_residual(
-    problem: UREProblem,
-    u,
-    minimizer_budget: int = 9,
-    *,
-    inner_tol: float = 1e-11,
-    max_inner: int = 600,
-    seed: int = 0,
-) -> float:
+def problem_residual(problem: UREProblem, u, *, seed: int = 0) -> float:
     """Worst violation of the defining inequality at u.
 
-    Minimizes v -> F(u, v) + kappa ||v - u||^2 over the set by multistart
-    projected gradient descent (u itself plus minimizer_budget - 1 sampled
-    starts) and returns max(0, -minimum). Zero means no sampled start found a
-    violating direction, so u solves the problem to the solver's resolution.
+    Minimizes v -> F(u, v) + kappa ||v - u||^2 over the set by projected
+    gradient descent from u itself and 8 sampled starts (at most 600 sweeps
+    each, to a step of 1e-11) and returns max(0, -minimum). Zero means no
+    start found a violating direction, so u solves the problem to the
+    solver's resolution.
     """
     u = as_vector(u, problem.dim, "u")
     s = problem.feasible_set
     if not s.contains(u):
         raise PointNotInSet(f"u is not feasible (distance {s.distance(u):.3e})")
-    if minimizer_budget < 1:
-        raise ValueError("minimizer_budget must be at least 1")
     f = problem.bifunction
     kap = problem.kappa
 
@@ -195,12 +188,8 @@ def problem_residual(
 
     if f.grad_v is None:
         raise MissingGradient("problem_residual needs the second-slot gradient")
-    starts = [u]
-    if minimizer_budget > 1:
-        starts.extend(s.sample(minimizer_budget - 1, seed))
-    _, m = multistart_minimize(
-        value, grad, lambda x: s.project(x).point, np.array(starts), inner_tol, max_inner
-    )
+    starts = np.vstack([u, s.sample(8, seed)])
+    _, m = multistart_minimize(value, grad, lambda x: s.project(x).point, starts, 1e-11, 600)
     if not math.isfinite(m):
         raise NonFiniteValue("inner minimum is not finite")
     return max(0.0, -m)

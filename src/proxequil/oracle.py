@@ -34,12 +34,11 @@ MAX_GENERIC_EVALS = int(4e6)
 @dataclass(frozen=True, eq=False)
 class GridSpec:
     """Grid resolution as cells per axis (so resolution+1 points per axis and
-    spacing width/resolution, which keeps round boxes on round lattices),
-    an optional bounding box override, and the membership tolerance."""
+    spacing width/resolution, which keeps round boxes on round lattices) and
+    an optional bounding box override."""
 
     resolution: int
     box: tuple[Array, Array] | None = None
-    membership_tol: float | None = None
 
     def __post_init__(self):
         if int(self.resolution) != self.resolution or self.resolution < 2:
@@ -56,13 +55,11 @@ class OracleResult:
     n_feasible: int
 
 
-def finite_diff_gradient(fn, u, h: float | None = None) -> Array:
-    """Central differences (fn(u + h e_i) - fn(u - h e_i)) / (2h)."""
+def finite_diff_gradient(fn, u) -> Array:
+    """Central differences (fn(u + h e_i) - fn(u - h e_i)) / (2h) with
+    h = 1e-6 (1 + ||u||)."""
     u = as_vector(u, name="u")
-    if h is None:
-        h = 1e-6 * (1.0 + float(np.linalg.norm(u)))
-    if not h > 0:
-        raise ValueError("h must be positive")
+    h = 1e-6 * (1.0 + float(np.linalg.norm(u)))
     out = np.empty_like(u)
     for i in range(u.shape[0]):
         e = np.zeros_like(u)
@@ -202,7 +199,7 @@ def grid_solve(p: UREProblem, gs: GridSpec) -> OracleResult:
     """
     f = p.bifunction
     points, h = _grid_points(p.feasible_set, gs)
-    feasible = p.feasible_set.contains_batch(points, gs.membership_tol)
+    feasible = p.feasible_set.contains_batch(points)
     V = points[feasible]
     if V.shape[0] == 0:
         raise EmptyGrid("no grid point passed the membership test")
@@ -249,10 +246,9 @@ def check_pseudomonotone(
     kappa: float,
     n_pairs: int = 10000,
     seed: int = 0,
-    tol: float = 1e-10,
 ) -> PseudomonotoneReport:
     """Sampled implication check: whenever F(u,v) + kappa||v-u||^2 >= 0, the
-    reverse value F(v,u) + kappa||v-u||^2 must not exceed tol.
+    reverse value F(v,u) + kappa||v-u||^2 must not exceed 1e-10.
 
     Stores at most 25 counterexample pairs; an empty tuple means passed.
     """
@@ -266,7 +262,7 @@ def check_pseudomonotone(
     n_bad = 0
     for u, v in zip(U, V):
         q = kappa * float((v - u) @ (v - u))
-        if f(u, v) + q >= 0.0 and f(v, u) + q > tol:
+        if f(u, v) + q >= 0.0 and f(v, u) + q > 1e-10:
             n_bad += 1
             if len(found) < 25:
                 found.append((u, v))

@@ -1,7 +1,8 @@
 """Outer iterations: the implicit (proximal) step with optional inertia, the
 explicit projected step, and the Fejer-type distance diagnostic.
 
-All three schemes share one step template. With kappa = k/(2r) and an
+All three schemes run one outer loop, u_{n+1} = step(u_n, u_{n-1}), in
+``_iterate``; they differ only in the step. With kappa = k/(2r) and an
 extrapolated base point
 
     z = u_n - (gamma_n / (1 + kappa)) (u_n - u_prev),
@@ -89,22 +90,16 @@ class SubproblemCheck:
     n_samples: int
 
 
-def verify_subproblem_inequality(
-    spec: SubproblemSpec,
-    w: Array,
-    n_samples: int = 10000,
-    seed: int = 0,
-    tol: float = 1e-8,
-) -> SubproblemCheck:
+def verify_subproblem_inequality(spec: SubproblemSpec, w: Array, seed: int = 0) -> SubproblemCheck:
     """Sampled audit of the strengthened auxiliary inequality at w.
 
-    Checks lam F(w, v) + (1+kappa) <w - z, v - w> >= -tol at sampled feasible
-    v. Debug-mode tool: quadratic in nothing, but 10^4 bifunction calls.
+    Checks lam F(w, v) + (1+kappa) <w - z, v - w> >= -1e-8 at 10^4 sampled
+    feasible v, one bifunction call each: a debug-mode tool.
     """
     w = as_vector(w, spec.problem.dim, "w")
     f = spec.problem.bifunction
     z = spec.base_point
-    V = spec.problem.feasible_set.sample(n_samples, seed)
+    V = spec.problem.feasible_set.sample(10000, seed)
     shift = (1.0 + spec.kappa) * (w - z)
     worst = -np.inf
     worst_v = w
@@ -113,16 +108,17 @@ def verify_subproblem_inequality(
         if -val > worst:
             worst = -val
             worst_v = v
-    return SubproblemCheck(worst <= tol, worst, worst_v, n_samples)
+    return SubproblemCheck(worst <= 1e-8, worst, worst_v, V.shape[0])
 
 
-def default_step_size(problem: UREProblem, seed: int = 0, n_pairs: int = 100) -> float:
-    """0.5 / (1 + L) with L a sampled Lipschitz estimate of grad_v F."""
+def default_step_size(problem: UREProblem, seed: int = 0) -> float:
+    """0.5 / (1 + L) with L a Lipschitz estimate of grad_v F over 100
+    sampled pairs."""
     f = problem.bifunction
     if f.grad_v is None:
         raise MissingGradient("step-size heuristic needs grad_v")
-    X = problem.feasible_set.sample(n_pairs, seed)
-    Y = problem.feasible_set.sample(n_pairs, seed + 1)
+    X = problem.feasible_set.sample(100, seed)
+    Y = problem.feasible_set.sample(100, seed + 1)
     L = 0.0
     for x, y in zip(X, Y):
         gap = float(np.linalg.norm(x - y))
@@ -142,6 +138,39 @@ def _resolve_lam(problem: UREProblem, cfg: SolverConfig) -> float:
     return cfg.lam if cfg.lam is not None else default_step_size(problem, cfg.seed)
 
 
+def _iterate(
+    problem: UREProblem,
+    cfg: SolverConfig,
+    u0,
+    advance: Callable[[int, Array, Array, float], Array],
+) -> Trace:
+    """The outer loop of the fixed-point schemes: u_{n+1} = advance(n, u_n,
+    u_{n-1}, lam), with u_{-1} = u_0.
+
+    Stops when the step norm falls below cfg.outer_tol. A subproblem failure
+    ends the run early with the partial trace and status SUBPROBLEM_FAILED.
+    """
+    u0 = as_vector(u0, problem.dim, "u0")
+    if not problem.feasible_set.contains(u0):
+        raise PointNotInSet("u0 is not in the feasible set")
+    if problem.bifunction.grad_v is None:
+        raise MissingGradient("the fixed-point schemes need grad_v")
+    lam = _resolve_lam(problem, cfg)
+    records = [TraceRecord(0, u0, 0.0, _natural_residual(problem, u0, lam))]
+    u_prev = u_n = u0
+    for n in range(cfg.max_outer):
+        try:
+            u_next = advance(n, u_n, u_prev, lam)
+        except SubproblemFailed:
+            return Trace(records, Status.SUBPROBLEM_FAILED)
+        step = float(np.linalg.norm(u_next - u_n))
+        records.append(TraceRecord(n + 1, u_next, step, _natural_residual(problem, u_next, lam)))
+        if step < cfg.outer_tol:
+            return Trace(records, Status.CONVERGED)
+        u_prev, u_n = u_n, u_next
+    return Trace(records, Status.MAX_ITERATIONS)
+
+
 def inertial_proximal_solve(
     problem: UREProblem,
     cfg: SolverConfig,
@@ -151,44 +180,15 @@ def inertial_proximal_solve(
     """Implicit scheme with inertial extrapolation gamma_n (u_n - u_{n-1}).
 
     gamma_schedule maps the iteration index to gamma_n; the default is the
-    constant cfg.gamma. Stops when the step norm falls below cfg.outer_tol.
-    A subproblem failure ends the run early with the partial trace and
-    status SUBPROBLEM_FAILED.
+    constant cfg.gamma.
     """
-    u0 = as_vector(u0, problem.dim, "u0")
-    if not problem.feasible_set.contains(u0):
-        raise PointNotInSet("u0 is not in the feasible set")
-    if gamma_schedule is None:
-        gamma_schedule = _constant_gamma(cfg.gamma)
-    lam = _resolve_lam(problem, cfg)
-    records = [TraceRecord(0, u0, 0.0, _natural_residual(problem, u0, lam))]
-    u_prev = u0
-    u_n = u0
-    for n in range(cfg.max_outer):
-        spec = SubproblemSpec(problem, u_n, u_prev, lam, float(gamma_schedule(n)))
-        try:
-            w = solve_subproblem(spec, cfg)
-        except SubproblemFailed:
-            return Trace(records, Status.SUBPROBLEM_FAILED)
-        step = float(np.linalg.norm(w - u_n))
-        records.append(TraceRecord(n + 1, w, step, _natural_residual(problem, w, lam)))
-        if step < cfg.outer_tol:
-            return Trace(records, Status.CONVERGED)
-        u_prev, u_n = u_n, w
-    return Trace(records, Status.MAX_ITERATIONS)
 
+    def advance(n: int, u_n: Array, u_prev: Array, lam: float) -> Array:
+        gamma_n = cfg.gamma if gamma_schedule is None else gamma_schedule(n)
+        spec = SubproblemSpec(problem, u_n, u_prev, lam, float(gamma_n))
+        return solve_subproblem(spec, cfg)
 
-class _constant_gamma:
-    """Picklable constant schedule (plain closures break process pools)."""
-
-    def __init__(self, value: float):
-        self.value = float(value)
-
-    def __call__(self, n: int) -> float:
-        return self.value
-
-
-_zero_gamma = _constant_gamma(0.0)
+    return _iterate(problem, cfg, u0, advance)
 
 
 def proximal_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
@@ -197,29 +197,18 @@ def proximal_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
     Shares every instruction with inertial_proximal_solve, so a zero-gamma
     inertial run reproduces this trace bitwise.
     """
-    return inertial_proximal_solve(problem, cfg, u0, gamma_schedule=_zero_gamma)
+    return inertial_proximal_solve(problem, cfg, u0, gamma_schedule=lambda n: 0.0)
 
 
 def explicit_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
     """Explicit scheme u_{n+1} = P[u_n - lam grad_v F(u_n, u_n)]."""
-    u0 = as_vector(u0, problem.dim, "u0")
-    if not problem.feasible_set.contains(u0):
-        raise PointNotInSet("u0 is not in the feasible set")
-    f = problem.bifunction
-    if f.grad_v is None:
-        raise MissingGradient("explicit_solve needs grad_v")
+    grad_v = problem.bifunction.grad_v
     project = problem.feasible_set.project
-    lam = _resolve_lam(problem, cfg)
-    records = [TraceRecord(0, u0, 0.0, _natural_residual(problem, u0, lam))]
-    u_n = u0
-    for n in range(cfg.max_outer):
-        u_next = project(u_n - lam * f.grad_v(u_n, u_n)).point
-        step = float(np.linalg.norm(u_next - u_n))
-        records.append(TraceRecord(n + 1, u_next, step, _natural_residual(problem, u_next, lam)))
-        if step < cfg.outer_tol:
-            return Trace(records, Status.CONVERGED)
-        u_n = u_next
-    return Trace(records, Status.MAX_ITERATIONS)
+
+    def advance(n: int, u_n: Array, u_prev: Array, lam: float) -> Array:
+        return project(u_n - lam * grad_v(u_n, u_n)).point
+
+    return _iterate(problem, cfg, u0, advance)
 
 
 @dataclass(frozen=True, eq=False)

@@ -78,6 +78,13 @@ def test_negative_k_names_field(tmp_path):
     assert "problem.k" in str(err.value)
 
 
+def test_negative_seed_names_field(tmp_path):
+    path = _write(tmp_path, MINIMAL + "solver.seed = -1\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config(path)
+    assert "solver.seed" in str(err.value)
+
+
 def test_unknown_scheme_lists_choices(tmp_path):
     path = _write(tmp_path, MINIMAL.replace("scheme = proximal", "scheme = newton"))
     with pytest.raises(ValidationError) as err:
@@ -244,6 +251,14 @@ def test_cli_seed_override(tmp_path):
     out = tmp_path / "out"
     code = main(["run", str(CONFIG_DIR / "ball_descent.cfg"), "--seed", "7", "--out", str(out)])
     assert code == 0
+
+
+def test_cli_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", str(CONFIG_DIR / "ball_descent.cfg"), "--seed", "-3", "--out", str(out)]) == 1
+    assert main(["--suite", str(CONFIG_DIR), "--seed", "-3", "--out", str(out)]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_suite_mode(tmp_path, capsys):

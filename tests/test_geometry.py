@@ -85,6 +85,16 @@ def test_convex_projections_nonexpansive():
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
+@pytest.mark.parametrize("s", shipped_sets(), ids=lambda s: s.kind)
+def test_project_validates_its_input(s):
+    x = [float(c) for c in s.bounding_box[1]]
+    np.testing.assert_array_equal(s.project(x).point, s.project(np.array(x)).point)
+    with pytest.raises(DimensionMismatch):
+        s.project(np.zeros(s.dim + 1))
+    with pytest.raises(NonFiniteValue):
+        s.project(np.full(s.dim, np.nan))
+
+
 def test_sphere_center_tiebreak():
     s = Sphere(np.array([1.0, 2.0]), 3.0)
     res = s.project(np.array([1.0, 2.0]))
@@ -115,6 +125,12 @@ def test_annulus_projects_hole_to_inner_rim():
     np.testing.assert_allclose(
         s.project(np.array([3.0, 0.0])).point, [2.0, 0.0], atol=1e-12
     )
+    # the center is equidistant from the whole inner rim
+    res = s.project(np.zeros(2))
+    assert not res.unique
+    np.testing.assert_allclose(res.point, [1.0, 0.0], atol=0)
+    with pytest.raises(DegenerateProjection):
+        s.project(np.zeros(2), strict_uniqueness=True)
 
 
 def test_box_minus_ball_projections():
@@ -127,6 +143,12 @@ def test_box_minus_ball_projections():
     np.testing.assert_allclose(
         s.project(np.array([3.0, 1.0])).point, [2.0, 1.0], atol=1e-12
     )
+    # the ball's center is equidistant from the whole removed sphere
+    res = s.project(np.zeros(2))
+    assert not res.unique
+    np.testing.assert_allclose(res.point, [1.0, 0.0], atol=0)
+    with pytest.raises(DegenerateProjection):
+        s.project(np.zeros(2), strict_uniqueness=True)
 
 
 def test_proximal_normal_certificates():

@@ -7,6 +7,8 @@ import pytest
 
 from proxequil import (
     Ball,
+    Bifunction,
+    MissingGradient,
     EmptyTrace,
     SolverConfig,
     Status,
@@ -227,6 +229,14 @@ def test_polarization_identity():
         lhs = 2.0 * float(u @ v)
         rhs = float((u + v) @ (u + v) - u @ u - v @ v)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + u @ u + v @ v)
+
+
+@pytest.mark.parametrize("solve", [proximal_solve, inertial_proximal_solve, explicit_solve])
+def test_missing_gradient_is_reported(solve):
+    f = ball_pull().bifunction
+    p = UREProblem(Bifunction(eval=f.eval, grad_v=None), Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
+    with pytest.raises(MissingGradient):
+        solve(p, SolverConfig(lam=0.5), U0)
 
 
 def test_default_step_size():
