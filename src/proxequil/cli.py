@@ -68,14 +68,11 @@ def _verify_steps(p: UREProblem, cfg: SolverConfig, rc: RunConfig, trace: Trace)
     lam = _resolve_lam(p, cfg)
     gamma = 0.0 if rc.scheme == "proximal" else cfg.gamma
     pts = [r.point for r in trace.records]
-    passed = True
-    worst = -np.inf
+    checks = []
     for n in range(len(pts) - 1):
         spec = SubproblemSpec(p, pts[n], pts[n - 1] if n else pts[0], lam, gamma)
-        chk = verify_subproblem_inequality(spec, pts[n + 1], seed=cfg.seed)
-        passed = passed and chk.passed
-        worst = max(worst, chk.worst_violation)
-    return passed, float(worst)
+        checks.append(verify_subproblem_inequality(spec, pts[n + 1], seed=cfg.seed))
+    return all(c.passed for c in checks), max((c.worst_violation for c in checks), default=-np.inf)
 
 
 def execute(
@@ -86,6 +83,9 @@ def execute(
     verify: bool = False,
 ) -> int:
     """Run one config and write its outputs; returns the process exit code."""
+    if seed is not None and seed < 0:
+        print(f"proxequil: seed must be nonnegative; got {seed}", file=sys.stderr)
+        return 1
     try:
         p = build_problem(rc)
         cfg = rc.solver

@@ -57,10 +57,6 @@ def as_vector(x, dim: int | None = None, name: str = "x") -> Array:
     return v
 
 
-def default_tol(x: Array) -> float:
-    return MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(x)))
-
-
 class ProjectionResult(NamedTuple):
     point: Array
     unique: bool
@@ -122,7 +118,7 @@ class ConstraintSet:
     def contains(self, x, tol: float | None = None) -> bool:
         x = as_vector(x, self.dim)
         if tol is None:
-            tol = default_tol(x)
+            tol = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(x)))
         return bool(self._distance_batch(x[None, :])[0] <= tol)
 
     def contains_batch(self, X: Array) -> Array:

@@ -77,6 +77,13 @@ class Bifunction:
     def __call__(self, u: Array, v: Array) -> float:
         return float(self.eval(u, v))
 
+    def eval_rows(self, u: Array, V: Array) -> Array:
+        """F(u, v) for every row v of V, shape (n,): one product (V - u) @ T(u)
+        for a VI bifunction (T called only at u), else one call per row."""
+        if self.vi_operator is not None:
+            return (V - u) @ np.asarray(self.vi_operator(u), dtype=float)
+        return np.array([self(u, v) for v in V], dtype=float)
+
 
 def make_vi_bifunction(T: Callable[[Array], Array], JT: Callable[[Array], Array] | None = None) -> Bifunction:
     """The bifunction <T(u), v-u> of a variational inequality.

@@ -20,13 +20,14 @@ u_{n+1} = P[u_n - lam grad_v F(u_n, u_n)], and involves no kappa at all.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import EmptyTrace, MissingGradient, PointNotInSet, SubproblemFailed
-from .geometry import Array, as_vector
+from .geometry import Array, ConstraintSet, as_vector
 from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem
 
 
@@ -90,25 +91,28 @@ class SubproblemCheck:
     n_samples: int
 
 
+@functools.lru_cache(maxsize=1)
+def _verify_sample(s: ConstraintSet, seed: int) -> Array:
+    """The read-only audit draw; sets hash by identity, so one run's steps share it."""
+    V = s.sample(10000, seed)
+    V.setflags(write=False)
+    return V
+
+
 def verify_subproblem_inequality(spec: SubproblemSpec, w: Array, seed: int = 0) -> SubproblemCheck:
     """Sampled audit of the strengthened auxiliary inequality at w.
 
-    Checks lam F(w, v) + (1+kappa) <w - z, v - w> >= -1e-8 at 10^4 sampled
-    feasible v, one bifunction call each: a debug-mode tool.
+    Checks lam F(w, v) + (1+kappa) <w - z, v - w> >= -1e-8 at the 10^4
+    feasible v of sample(10000, seed) in one Bifunction.eval_rows call; the
+    worst point is the first row of least value.
     """
     w = as_vector(w, spec.problem.dim, "w")
-    f = spec.problem.bifunction
-    z = spec.base_point
-    V = spec.problem.feasible_set.sample(10000, seed)
-    shift = (1.0 + spec.kappa) * (w - z)
-    worst = -np.inf
-    worst_v = w
-    for v in V:
-        val = spec.lam * f(w, v) + float(shift @ (v - w))
-        if -val > worst:
-            worst = -val
-            worst_v = v
-    return SubproblemCheck(worst <= 1e-8, worst, worst_v, V.shape[0])
+    V = _verify_sample(spec.problem.feasible_set, seed)
+    shift = (1.0 + spec.kappa) * (w - spec.base_point)
+    vals = spec.lam * spec.problem.bifunction.eval_rows(w, V) + (V - w) @ shift
+    i = int(np.argmin(vals))
+    worst = float(-vals[i])
+    return SubproblemCheck(worst <= 1e-8, worst, V[i], V.shape[0])
 
 
 def default_step_size(problem: UREProblem, seed: int = 0) -> float:
@@ -234,20 +238,13 @@ def fejer_check(trace: Trace, u_star, epsilon: float) -> FejerReport:
         raise EmptyTrace("trace has no records")
     if epsilon < 0:
         raise ValueError("epsilon must be nonnegative")
-    dim = trace.records[0].point.shape[0]
-    u_star = as_vector(u_star, dim, "u_star")
-    worst = np.inf
-    worst_index = -1
-    pts = [r.point for r in trace.records]
-    for i in range(len(pts) - 1):
-        u_n, u_next = pts[i], pts[i + 1]
-        dn = u_n - u_star
-        lhs = float((u_next - u_star) @ (u_next - u_star))
-        cross = u_next - (1.0 + epsilon) * u_n + epsilon * u_star
-        slack = 1e-8 * (1.0 + float(dn @ dn))
-        rhs = (1.0 + epsilon) ** 2 * float(dn @ dn) - float(cross @ cross) + slack
-        margin = rhs - lhs
-        if margin < worst:
-            worst = margin
-            worst_index = i
-    return FejerReport(worst >= 0.0, float(worst), worst_index, len(pts) - 1)
+    P = trace.points()
+    u_star = as_vector(u_star, P.shape[1], "u_star")
+    if len(P) < 2:
+        return FejerReport(True, float("inf"), -1, 0)
+    d = P - u_star
+    cross = P[1:] - (1.0 + epsilon) * P[:-1] + epsilon * u_star
+    sq, cc = np.einsum("ij,ij->i", d, d), np.einsum("ij,ij->i", cross, cross)
+    margin = (1.0 + epsilon) ** 2 * sq[:-1] - cc + 1e-8 * (1.0 + sq[:-1]) - sq[1:]
+    i = int(np.argmin(margin))
+    return FejerReport(bool(margin[i] >= 0.0), float(margin[i]), i, len(P) - 1)

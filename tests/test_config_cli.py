@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from proxequil import ParseError, RunConfig, ValidationError, config, emit_config, parse_config
-from proxequil.cli import main
+from proxequil.cli import execute, main
 from problems import shipped_sets
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -259,6 +259,14 @@ def test_cli_rejects_negative_seed(tmp_path, capsys):
     assert main(["--suite", str(CONFIG_DIR), "--seed", "-3", "--out", str(out)]) == 1
     assert "--seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_execute_rejects_negative_seed(tmp_path, capsys):
+    rc = parse_config(str(CONFIG_DIR / "ball_proximal.cfg"))
+    assert execute(rc, out_dir=str(tmp_path / "out"), seed=-3) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("proxequil: ") and "-3" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_suite_mode(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Problem model: bifunctions, validation, residual."""
 
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,14 @@ from proxequil import (
     UREProblem,
     finite_diff_gradient,
     grid_solve,
+    config,
     make_vi_bifunction,
+    parse_config,
     problem_residual,
 )
 from problems import ball_pull, pull_bifunction
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_vi_bifunction_values():
@@ -38,6 +44,63 @@ def test_vi_bifunction_values():
 def test_vi_bifunction_without_jacobian_has_no_grad_u():
     f = make_vi_bifunction(lambda u: u)
     assert f.grad_u is None
+
+
+def _rows_reference(f, u, V):
+    return np.array([f(u, v) for v in V])
+
+
+def test_eval_rows_calls_vi_operator_only_at_u():
+    target = np.array([2.0, -1.0])
+
+    def T(u):
+        u = np.asarray(u)
+        if u.ndim != 1:
+            raise AssertionError("T called on rows")
+        return u - target
+
+    f = make_vi_bifunction(T)
+    u = np.array([0.3, 0.4])
+    V = Ball(np.zeros(2), 1.0).sample(50, seed=5)
+    rows = f.eval_rows(u, V)
+    assert rows.shape == (50,)
+    np.testing.assert_allclose(rows, _rows_reference(f, u, V), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["affine_vi", "zero"])
+def test_eval_rows_matches_calls_for_config_kinds(kind):
+    rc = parse_config(str(CONFIG_DIR / "ball_proximal.cfg"))
+    rc = replace(rc, bifunction_kind=kind, matrix=((1.0, 0.5), (-0.5, 2.0)), offset=(-2.0, 0.3))
+    f = config.build_bifunction(rc)
+    u = np.array([0.1, -0.2])
+    V = Ball(np.zeros(2), 1.0).sample(200, seed=8)
+    rows = f.eval_rows(u, V)
+    assert rows.shape == (200,)
+    np.testing.assert_allclose(rows, _rows_reference(f, u, V), rtol=0, atol=1e-14)
+    if kind == "zero":
+        assert not rows.any()
+
+
+def test_eval_rows_loops_over_a_plain_bifunction():
+    calls = []
+
+    def value(u, v):
+        calls.append(1)
+        return float(v @ v - u @ u)
+
+    f = Bifunction(eval=value, grad_v=lambda u, v: 2.0 * v)
+    u = np.array([0.5, 0.0])
+    V = Ball(np.zeros(2), 1.0).sample(30, seed=2)
+    rows = f.eval_rows(u, V)
+    assert len(calls) == 30
+    np.testing.assert_array_equal(rows, _rows_reference(f, u, V))
+
+
+def test_eval_rows_of_no_rows_is_empty():
+    u = np.zeros(2)
+    quad = Bifunction(eval=lambda u, v: float(v @ v), grad_v=lambda u, v: 2.0 * v)
+    for f in (pull_bifunction([2.0, 0.0]), quad):
+        assert f.eval_rows(u, np.empty((0, 2))).shape == (0,)
 
 
 def test_diagonal_zero_sampled():

@@ -66,6 +66,67 @@ def test_subproblem_frozen_value():
     assert chk.n_samples == 10000
 
 
+def _audit_steps():
+    """A proximal step on the ball, which the audit passes, and an inertial
+    step from the annulus's inner rim, which it fails at points across the
+    hole (the set is not convex)."""
+    ball = SubproblemSpec(ball_pull(), U0, U0, lam=0.5, gamma_n=0.0)
+    annulus = SubproblemSpec(
+        annulus_pull_inner(), np.array([0.0, 1.0]), np.array([0.0, 1.2]), lam=0.5, gamma_n=0.2
+    )
+    return [(spec, solve_subproblem(spec, SolverConfig(lam=0.5))) for spec in (ball, annulus)]
+
+
+@pytest.mark.parametrize("step", [0, 1], ids=["ball_proximal", "annulus_inertial"])
+def test_verify_matches_scalar_loop(step):
+    spec, w = _audit_steps()[step]
+    chk = verify_subproblem_inequality(spec, w, seed=4)
+    f, z = spec.problem.bifunction, spec.base_point
+    worst, worst_v = -np.inf, w
+    for v in spec.problem.feasible_set.sample(10000, 4):
+        val = spec.lam * f(w, v) + (1.0 + spec.kappa) * float((w - z) @ (v - w))
+        if -val > worst:
+            worst, worst_v = -val, v
+    assert chk.passed == (worst <= 1e-8)
+    assert chk.worst_violation == pytest.approx(worst, rel=0, abs=1e-12)
+    np.testing.assert_array_equal(chk.worst_point, worst_v)
+    assert chk.n_samples == 10000
+
+
+def test_verify_makes_no_per_sample_calls(monkeypatch):
+    calls = []
+    plain_call = Bifunction.__call__
+
+    def counted(self, u, v):
+        calls.append(1)
+        return plain_call(self, u, v)
+
+    monkeypatch.setattr(Bifunction, "__call__", counted)
+    for spec, w in _audit_steps():
+        verify_subproblem_inequality(spec, w)
+    assert calls == []
+
+
+def test_verify_draws_once_per_set_and_seed(monkeypatch):
+    spec, w = _audit_steps()[1]
+    s = spec.problem.feasible_set
+    draws = []
+    plain_sample = type(s).sample
+
+    def counted(self, n, seed):
+        draws.append((n, seed))
+        return plain_sample(self, n, seed)
+
+    monkeypatch.setattr(type(s), "sample", counted)
+    first = verify_subproblem_inequality(spec, w, seed=6)
+    again = verify_subproblem_inequality(spec, w, seed=6)
+    assert draws == [(10000, 6)]
+    assert (again.passed, again.worst_violation) == (first.passed, first.worst_violation)
+    np.testing.assert_array_equal(again.worst_point, first.worst_point)
+    verify_subproblem_inequality(spec, w, seed=7)
+    assert draws == [(10000, 6), (10000, 7)]
+
+
 def test_subproblem_kappa_zero_gamma_zero():
     """With r = inf and no inertia the update is w <- P[u_n - lam*T(w)]."""
     p = UREProblem(pull_bifunction([2.0, 0.0]), Ball(np.zeros(2), 1.0), k=1.0, r=math.inf)
@@ -209,6 +270,26 @@ def test_fejer_check_flags_teleporting_iterate():
     assert not rep.passed
     assert rep.worst_margin < 0.0
     assert rep.worst_index == 0
+
+
+def test_fejer_check_matches_pairwise_loop():
+    p = annulus_pull_inner()
+    traces = [
+        proximal_solve(ball_pull(), SolverConfig(lam=0.5), U0),
+        inertial_proximal_solve(p, SolverConfig(lam=0.5, gamma=0.2), np.array([0.0, 1.5])),
+    ]
+    for trace, eps in zip(traces, (0.5, p.kappa)):
+        rep = fejer_check(trace, SOLUTION, epsilon=eps)
+        margins = []
+        pts = trace.points()
+        for u_n, u_next in zip(pts[:-1], pts[1:]):
+            dn = u_n - SOLUTION
+            cross = u_next - (1.0 + eps) * u_n + eps * SOLUTION
+            rhs = (1.0 + eps) ** 2 * float(dn @ dn) - float(cross @ cross) + 1e-8 * (1.0 + float(dn @ dn))
+            margins.append(rhs - float((u_next - SOLUTION) @ (u_next - SOLUTION)))
+        i = int(np.argmin(margins))
+        assert (rep.passed, rep.worst_index, rep.n_pairs) == (margins[i] >= 0.0, i, len(margins))
+        assert rep.worst_margin == pytest.approx(margins[i], rel=0, abs=1e-12)
 
 
 def test_fejer_check_degenerate_traces():
