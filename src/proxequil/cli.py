@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_problem, parse_config
-from .errors import ProxequilError
+from .errors import InnerSolveFailed, ProxequilError, SubproblemFailed
 from .gap import GapModel, descent_solve, gap_value
 from .model import SolverConfig, Status, Trace, UREProblem, problem_residual
 from .oracle import GridSpec, grid_solve
@@ -148,9 +148,13 @@ def execute(
     except OSError as exc:
         print(f"proxequil: i/o error: {exc}", file=sys.stderr)
         return 1
-    except ProxequilError as exc:
+    except (SubproblemFailed, InnerSolveFailed) as exc:
         print(f"proxequil: solver failure: {exc}", file=sys.stderr)
         return 3
+    except ProxequilError as exc:
+        # Input and guard errors (a bad start, exhausted sampling, ...).
+        print(f"proxequil: {exc}", file=sys.stderr)
+        return 1
 
 
 def _suite_worker(task: tuple[str, str, bool, int | None, bool]) -> tuple[str, int]:

@@ -192,6 +192,34 @@ def test_cli_exit_subproblem_failure(tmp_path):
     assert code == 3
 
 
+def test_cli_solve_input_error_exits_1(tmp_path, capsys):
+    # solver.lambda = auto samples the 12-d unit ball from its bounding box,
+    # which runs out of draws: an input/guard error, not a solver failure.
+    d = 12
+    zeros = ", ".join(["0.0"] * d)
+    rows = "; ".join(", ".join("1.0" if i == j else "0.0" for j in range(d)) for i in range(d))
+    ball12 = f"""\
+scheme = proximal
+problem.k = 1.0
+problem.r = 1.0
+problem.start = {zeros}
+problem.bifunction.kind = affine_vi
+problem.bifunction.matrix = {rows}
+problem.bifunction.offset = -2.0{", 0.0" * (d - 1)}
+problem.set.kind = ball
+problem.set.center = {zeros}
+problem.set.radius = 1.0
+solver.lambda = auto
+"""
+    out = tmp_path / "out"
+    code = main(["run", _write(tmp_path, ball12), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "proxequil: ball: 34 of 100 points after 110000 draws" in err
+    assert "solver failure" not in err
+    assert not (out / "summary.json").exists()
+
+
 def test_cli_exit_oracle_disagreement(tmp_path):
     trap = (CONFIG_DIR / "two_ball_trap.cfg").read_text() + "oracle.enabled = true\n"
     code = main(["run", _write(tmp_path, trap), "--out", str(tmp_path / "out")])

@@ -6,10 +6,15 @@ solver tests.  A 400-cell grid over the default bounding boxes lands the
 analytic solutions of the shipped problems exactly on grid nodes.
 """
 
+import ast
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from proxequil import (
+    Annulus,
     Ball,
     Bifunction,
     Box,
@@ -18,6 +23,7 @@ from proxequil import (
     GridTooLarge,
     NonFiniteValue,
     Sphere,
+    TwoBallUnion,
     UREProblem,
     check_pseudomonotone,
     finite_diff_gradient,
@@ -103,6 +109,92 @@ def test_zero_bifunction_every_point_solves():
     assert res.certified
     assert res.inner_value == 0.0
     assert res.n_feasible > 0
+
+
+def _random_vi_case(seed, dim, kind):
+    """A seeded set of the given kind, an affine T and a grid resolution."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-0.5, 0.5, dim)
+    if kind == "ball":
+        s = Ball(c, rng.uniform(0.5, 2.0))
+    elif kind == "annulus":
+        inner = rng.uniform(0.3, 1.0)
+        s = Annulus(c, inner, inner + rng.uniform(0.3, 1.5))
+    else:
+        e = np.zeros(dim)
+        e[0] = rng.uniform(1.4, 2.5)
+        s = TwoBallUnion(c - e, rng.uniform(0.3, 1.2), c + e, rng.uniform(0.3, 1.2))
+    A = rng.normal(size=(dim, dim))
+    b = rng.normal(size=dim)
+    res = int(rng.integers(4, 41 if dim == 2 else 17))
+    return s, make_vi_bifunction(lambda u: u @ A.T + b), res
+
+
+def _dense_max_min(f, V, kappa):
+    """m(u) = min over every v of F(u, v) + kappa ||v - u||^2, one row at a time."""
+    return np.array([np.min(f.eval_rows(u, V) + kappa * np.sum((V - u) ** 2, axis=1)) for u in V])
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind", ["ball", "annulus", "two_ball_union"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_vi_grid_max_min_matches_dense(dim, kind, kappa):
+    """The early-abandoning VI max-min returns the dense n x n max-min."""
+    for seed in range(6):
+        s, f, res = _random_vi_case(seed, dim, kind)
+        lo, hi = s.bounding_box
+        axes = [np.linspace(lo[i], hi[i], res + 1) for i in range(dim)]
+        points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        V = points[s.contains_batch(points)]
+        # grid_solve reads only these three fields; a namespace also admits
+        # kappa = 0 on the nonconvex sets, which UREProblem refuses.
+        out = grid_solve(SimpleNamespace(bifunction=f, feasible_set=s, kappa=kappa), GridSpec(res))
+        m = _dense_max_min(f, V, kappa)
+        assert out.n_feasible == V.shape[0]
+        assert out.inner_value == pytest.approx(m.max(), abs=1e-9)
+        top, second = np.sort(m)[::-1][:2]
+        if top - second > 1e-9:
+            np.testing.assert_array_equal(out.point, V[np.argmax(m)])
+
+
+def test_vi_grid_zero_operator_keeps_every_row():
+    """With T = 0 and kappa = 0 every row ties at m = 0, so none is dropped
+    and every v-block size runs (128, 512, 2048, then 4096 points)."""
+    zero = make_vi_bifunction(lambda u: np.zeros_like(u))
+    p = UREProblem(zero, Ball(np.zeros(2), 1.0), k=1.0, r=np.inf)
+    res = grid_solve(p, GridSpec(120))
+    assert res.n_feasible > 128 + 512 + 2048 + 4096
+    assert res.inner_value == 0.0
+    assert res.certified
+    # Ties keep the first row of the stable order: the first feasible node.
+    lattice = np.linspace(-1.0, 1.0, 121)
+    first = next(np.array([x, y]) for x in lattice for y in lattice if x * x + y * y <= 1.0)
+    np.testing.assert_array_equal(res.point, first)
+
+
+def test_oracle_stays_independent_of_solver_code():
+    """oracle.py imports only errors, geometry and model from the package
+    and never names the solvers' projection, residual or minimizer."""
+    path = Path(__file__).resolve().parent.parent / "src" / "proxequil" / "oracle.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                modules |= {node.module} if node.module else {a.name for a in node.names}
+            elif node.module.split(".")[0] == "proxequil":
+                modules.add(node.module)
+            names |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.name for a in node.names if a.name.split(".")[0] == "proxequil"}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.arg)):
+            names.add(node.name if isinstance(node, ast.FunctionDef) else node.arg)
+    assert modules <= {"errors", "geometry", "model"}
+    assert not names & {"project", "problem_residual", "multistart_minimize", "schemes", "gap"}
 
 
 def test_custom_box_restricts_search():
