@@ -108,14 +108,15 @@ def execute(
             "iterations": trace.iterations,
             "final_point": [float(x) for x in final],
         }
-        try:
-            summary["final_residual"] = problem_residual(p, final, seed=cfg.seed)
-        except ProxequilError:
-            summary["final_residual"] = None
-        try:
-            summary["final_gap"] = gap_value(_gap_model(p, cfg), final, cfg)
-        except ProxequilError:
-            summary["final_gap"] = None
+        for key, merit in (
+            ("final_residual", lambda: problem_residual(p, final, seed=cfg.seed)),
+            ("final_gap", lambda: gap_value(_gap_model(p, cfg), final, cfg)),
+        ):
+            try:
+                summary[key] = merit()
+            except ProxequilError as exc:
+                print(f"proxequil: {key} not computed: {exc}", file=sys.stderr)
+                summary[key] = None
 
         code = _STATUS_CODE[trace.status]
         try:

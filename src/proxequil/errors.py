@@ -17,10 +17,6 @@ class PointNotInSet(ProxequilError):
     """A point failed the membership test of its constraint set."""
 
 
-class DegenerateProjection(ProxequilError):
-    """Nearest point is not unique and strict uniqueness was requested."""
-
-
 class SamplingExhausted(ProxequilError):
     """Rejection sampling could not produce the requested number of points."""
 

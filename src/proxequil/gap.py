@@ -21,10 +21,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._minimize import multistart_minimize
 from .errors import InfeasibleSegment, MissingGradient, PointNotInSet
 from .geometry import Array, as_vector
-from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem
+from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem, _best_response
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,29 +84,9 @@ class GapModel:
             raise ValueError("gap construction requires F(u, u) = 0")
 
 
-def _inner_pieces(g: GapModel, u: Array):
-    f = g.problem.bifunction
-    G = g.regularizer
-    if f.grad_v is None:
-        raise MissingGradient("w_map needs the second-slot gradient of F")
-
-    def value(w: Array) -> float:
-        return f(u, w) + G.value(u, w)
-
-    def grad(w: Array) -> Array:
-        return f.grad_v(u, w) + G.grad_y(u, w)
-
-    return value, grad
-
-
 def _w_and_gap(g: GapModel, u: Array, cfg: SolverConfig) -> tuple[Array, float]:
-    value, grad = _inner_pieces(g, u)
-    s = g.problem.feasible_set
-    starts = [u]
-    starts.extend(s.sample(8, cfg.seed))
-    w, fw = multistart_minimize(
-        value, grad, lambda x: s.project(x).point, np.array(starts), cfg.inner_tol, cfg.max_inner
-    )
+    G = g.regularizer
+    w, fw = _best_response(g.problem, u, G.value, G.grad_y, cfg.seed, cfg.inner_tol, cfg.max_inner)
     return w, -fw + 0.0
 
 
@@ -213,7 +192,7 @@ def line_search(g: GapModel, u, d, cfg: SolverConfig, *, strict_segment: bool = 
             if not s.contains(x):
                 if strict_segment:
                     raise InfeasibleSegment(f"probe at t={t:.6g} leaves the set")
-                x = s.project(x).point
+                x = s.project(x)
             cache[t] = gap_value(g, x, cfg)
         return cache[t]
 
@@ -280,10 +259,9 @@ def descent_solve(g: GapModel, cfg: SolverConfig, u0, *, strict_segment: bool = 
         if not s.contains(x):
             if strict_segment:
                 return Trace(records, Status.SUBPROBLEM_FAILED)
-            x = s.project(x).point
+            x = s.project(x)
         last_step = float(np.linalg.norm(x - u))
         u = x
-    return Trace(records, Status.MAX_ITERATIONS)
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,26 +19,20 @@ by ``proximal_normal_check``:
 
 Projections onto nonconvex kinds can be set-valued on a measure-zero locus
 (sphere/annulus/cavity center, the equidistant locus of a two-ball union).
-There a deterministic tie-break is applied and the result is flagged
-non-unique: centers resolve along the first canonical axis, two-ball ties
-resolve to the ball with the lexicographically smaller center.
+There ``project`` returns one nearest point by a deterministic tie-break:
+centers resolve along the first canonical axis, two-ball ties resolve to the
+ball with the lexicographically smaller center.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import (
-    DegenerateProjection,
-    DimensionMismatch,
-    NonFiniteValue,
-    PointNotInSet,
-    SamplingExhausted,
-)
+from .errors import DimensionMismatch, NonFiniteValue, PointNotInSet, SamplingExhausted
 
 Array = np.ndarray
 
@@ -55,11 +49,6 @@ def as_vector(x, dim: int | None = None, name: str = "x") -> Array:
     if not np.all(np.isfinite(v)):
         raise NonFiniteValue(f"{name} contains NaN or infinity")
     return v
-
-
-class ProjectionResult(NamedTuple):
-    point: Array
-    unique: bool
 
 
 @dataclass(frozen=True)
@@ -96,20 +85,15 @@ class ConstraintSet:
     def _distance_batch(self, X: Array) -> Array:
         raise NotImplementedError
 
-    def _nearest(self, x: Array) -> tuple[Array, bool]:
-        """A nearest point of the set to the validated x, and whether it is
-        the only one."""
+    def _nearest(self, x: Array) -> Array:
+        """A nearest point of the set to the validated x."""
         raise NotImplementedError
 
     # ---- derived operations -------------------------------------------------
 
-    def project(self, x, strict_uniqueness: bool = False) -> ProjectionResult:
-        """Nearest point of the set to x; with strict_uniqueness, raise
-        DegenerateProjection where the nearest point is not unique."""
-        p, unique = self._nearest(as_vector(x, self.dim))
-        if strict_uniqueness and not unique:
-            raise DegenerateProjection(f"{self.kind}: nearest point is not unique")
-        return ProjectionResult(p, unique)
+    def project(self, x) -> Array:
+        """Nearest point of the set to x (a deterministic one on a tie)."""
+        return self._nearest(as_vector(x, self.dim))
 
     def distance(self, x) -> float:
         x = as_vector(x, self.dim)
@@ -214,8 +198,8 @@ class Box(ConstraintSet):
     def _distance_batch(self, X: Array) -> Array:
         return np.linalg.norm(X - np.clip(X, self.lower, self.upper), axis=1)
 
-    def _nearest(self, x: Array) -> tuple[Array, bool]:
-        return np.clip(x, self.lower, self.upper), True
+    def _nearest(self, x: Array) -> Array:
+        return np.clip(x, self.lower, self.upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,11 +231,11 @@ class Ball(ConstraintSet):
         d = np.linalg.norm(X - self.center, axis=1) - self.radius
         return np.maximum(d, 0.0)
 
-    def _nearest(self, x: Array) -> tuple[Array, bool]:
+    def _nearest(self, x: Array) -> Array:
         d = float(np.linalg.norm(x - self.center))
         if d <= self.radius:
-            return x, True
-        return self.center + self.radius * (x - self.center) / d, True
+            return x
+        return self.center + self.radius * (x - self.center) / d
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,11 +281,11 @@ class Halfspace(ConstraintSet):
         excess = (X @ self.normal - self.offset) / np.linalg.norm(self.normal)
         return np.maximum(excess, 0.0)
 
-    def _nearest(self, x: Array) -> tuple[Array, bool]:
+    def _nearest(self, x: Array) -> Array:
         excess = float(x @ self.normal - self.offset)
         if excess <= 0:
-            return x, True
-        return x - excess / float(self.normal @ self.normal) * self.normal, True
+            return x
+        return x - excess / float(self.normal @ self.normal) * self.normal
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,13 +316,13 @@ class Sphere(ConstraintSet):
     def _distance_batch(self, X: Array) -> Array:
         return np.abs(np.linalg.norm(X - self.center, axis=1) - self.radius)
 
-    def _nearest(self, x: Array) -> tuple[Array, bool]:
+    def _nearest(self, x: Array) -> Array:
         d = float(np.linalg.norm(x - self.center))
         if d <= 1e-13:
             p = self.center.copy()
             p[0] += self.radius
-            return p, False
-        return self.center + self.radius * (x - self.center) / d, True
+            return p
+        return self.center + self.radius * (x - self.center) / d
 
     def sample(self, n: int, seed: int) -> Array:
         # Surface kind: direct sampling, rejection would never terminate.
@@ -384,17 +368,17 @@ class Annulus(ConstraintSet):
         d = np.linalg.norm(X - self.center, axis=1)
         return np.maximum(0.0, np.maximum(self.inner_radius - d, d - self.outer_radius))
 
-    def _nearest(self, x: Array) -> tuple[Array, bool]:
+    def _nearest(self, x: Array) -> Array:
         d = float(np.linalg.norm(x - self.center))
         if d <= 1e-13:
             p = self.center.copy()
             p[0] += self.inner_radius
-            return p, False
+            return p
         if d < self.inner_radius:
-            return self.center + self.inner_radius * (x - self.center) / d, True
+            return self.center + self.inner_radius * (x - self.center) / d
         if d > self.outer_radius:
-            return self.center + self.outer_radius * (x - self.center) / d, True
-        return x, True
+            return self.center + self.outer_radius * (x - self.center) / d
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,18 +427,18 @@ class BoxMinusBall(ConstraintSet):
         in_box = to_box == 0.0
         return np.where(in_box, np.maximum(self.radius - radial, 0.0), to_box)
 
-    def _nearest(self, x: Array) -> tuple[Array, bool]:
+    def _nearest(self, x: Array) -> Array:
         clipped = np.clip(x, self.lower, self.upper)
         if np.any(clipped != x):
-            return clipped, True
+            return clipped
         d = float(np.linalg.norm(x - self.center))
         if d >= self.radius:
-            return x, True
+            return x
         if d <= 1e-13:
             p = self.center.copy()
             p[0] += self.radius
-            return p, False
-        return self.center + self.radius * (x - self.center) / d, True
+            return p
+        return self.center + self.radius * (x - self.center) / d
 
 
 @dataclass(frozen=True, eq=False)
@@ -499,19 +483,19 @@ class TwoBallUnion(ConstraintSet):
         db = np.maximum(np.linalg.norm(X - self.center_b, axis=1) - self.radius_b, 0.0)
         return np.minimum(da, db)
 
-    def _nearest(self, x: Array) -> tuple[Array, bool]:
+    def _nearest(self, x: Array) -> Array:
         da = float(np.linalg.norm(x - self.center_a)) - self.radius_a
         db = float(np.linalg.norm(x - self.center_b)) - self.radius_b
         if da <= 0 or db <= 0:
-            return x, True
+            return x
         pa = self.center_a + self.radius_a * (x - self.center_a) / (da + self.radius_a)
         pb = self.center_b + self.radius_b * (x - self.center_b) / (db + self.radius_b)
         tie = 1e-12 * (1.0 + float(np.linalg.norm(x)))
         if abs(da - db) <= tie:
             # Equidistant locus: deterministic tie-break on the centers.
             first_a = tuple(self.center_a) <= tuple(self.center_b)
-            return pa if first_a else pb, False
-        return pa if da < db else pb, True
+            return pa if first_a else pb
+        return pa if da < db else pb
 
 
 SET_KINDS = {

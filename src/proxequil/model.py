@@ -9,7 +9,7 @@ where kappa = k / (2 r) couples the modulus k of the bifunction to the
 prox-regularity constant r of the set (kappa = 0 when the set is convex,
 r = inf). ``problem_residual`` measures how far a point is from satisfying
 this: it is max(0, -m(u)) where m(u) is the minimum over v of the left-hand
-side, computed by multistart projected gradient descent.
+side, found by ``_best_response``, the best response the gap also uses.
 """
 
 from __future__ import annotations
@@ -171,32 +171,52 @@ class SolverConfig:
             raise ValueError("seed must be nonnegative")
 
 
+def _best_response(
+    problem: UREProblem, u: Array, reg_value: Callable[[Array, Array], float],
+    reg_grad: Callable[[Array, Array], Array], seed: int, inner_tol: float, max_inner: int,
+) -> tuple[Array, float]:
+    """The minimizer w and minimum m over the set of v -> F(u, v) + reg(u, v).
+
+    Shared by the residual (reg = kappa ||v - u||^2) and the gap (reg = G).
+    Projected gradient descent from u itself and 8 starts sampled with seed,
+    keeping the best converged result; starting at u keeps m <= reg(u, u).
+    """
+    f = problem.bifunction
+    if f.grad_v is None:
+        raise MissingGradient("the best response needs the second-slot gradient of F")
+    s = problem.feasible_set
+
+    def value(v: Array) -> float:
+        return f(u, v) + reg_value(u, v)
+
+    def grad(v: Array) -> Array:
+        return f.grad_v(u, v) + reg_grad(u, v)
+
+    starts = np.vstack([u, s.sample(8, seed)])
+    return multistart_minimize(value, grad, s.project, starts, inner_tol, max_inner)
+
+
 def problem_residual(problem: UREProblem, u, *, seed: int = 0) -> float:
     """Worst violation of the defining inequality at u.
 
-    Minimizes v -> F(u, v) + kappa ||v - u||^2 over the set by projected
-    gradient descent from u itself and 8 sampled starts (at most 600 sweeps
-    each, to a step of 1e-11) and returns max(0, -minimum). Zero means no
-    start found a violating direction, so u solves the problem to the
-    solver's resolution.
+    Minimizes v -> F(u, v) + kappa ||v - u||^2 over the set with
+    ``_best_response`` (at most 600 sweeps per start, to a step of 1e-11)
+    and returns max(0, -minimum). Zero means no start found a violating
+    direction, so u solves the problem to the solver's resolution.
     """
     u = as_vector(u, problem.dim, "u")
     s = problem.feasible_set
     if not s.contains(u):
         raise PointNotInSet(f"u is not feasible (distance {s.distance(u):.3e})")
-    f = problem.bifunction
     kap = problem.kappa
 
-    def value(v: Array) -> float:
-        return f(u, v) + kap * float((v - u) @ (v - u))
+    def reg_value(u: Array, v: Array) -> float:
+        return kap * float((v - u) @ (v - u))
 
-    def grad(v: Array) -> Array:
-        return f.grad_v(u, v) + 2.0 * kap * (v - u)
+    def reg_grad(u: Array, v: Array) -> Array:
+        return 2.0 * kap * (v - u)
 
-    if f.grad_v is None:
-        raise MissingGradient("problem_residual needs the second-slot gradient")
-    starts = np.vstack([u, s.sample(8, seed)])
-    _, m = multistart_minimize(value, grad, lambda x: s.project(x).point, starts, 1e-11, 600)
+    _, m = _best_response(problem, u, reg_value, reg_grad, seed, 1e-11, 600)
     if not math.isfinite(m):
         raise NonFiniteValue("inner minimum is not finite")
     return max(0.0, -m)

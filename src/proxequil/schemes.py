@@ -74,7 +74,7 @@ def solve_subproblem(spec: SubproblemSpec, cfg: SolverConfig) -> Array:
     scale = spec.lam / (1.0 + spec.kappa)
     w = spec.u_n
     for _ in range(cfg.max_inner):
-        w_new = project(z - scale * f.grad_v(w, w)).point
+        w_new = project(z - scale * f.grad_v(w, w))
         if float(np.linalg.norm(w_new - w)) <= cfg.inner_tol:
             return w_new
         w = w_new
@@ -134,7 +134,7 @@ def default_step_size(problem: UREProblem, seed: int = 0) -> float:
 
 def _natural_residual(problem: UREProblem, u: Array, lam: float) -> float:
     f = problem.bifunction
-    moved = problem.feasible_set.project(u - lam * f.grad_v(u, u)).point
+    moved = problem.feasible_set.project(u - lam * f.grad_v(u, u))
     return float(np.linalg.norm(u - moved))
 
 
@@ -210,7 +210,7 @@ def explicit_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
     project = problem.feasible_set.project
 
     def advance(n: int, u_n: Array, u_prev: Array, lam: float) -> Array:
-        return project(u_n - lam * grad_v(u_n, u_n)).point
+        return project(u_n - lam * grad_v(u_n, u_n))
 
     return _iterate(problem, cfg, u0, advance)
 

@@ -89,7 +89,7 @@ def exterior_boundary_pairs(s, n, seed):
         x = lo - 0.5 * span + rng.random(s.dim) * 2.0 * span
         if s.contains(x):
             continue
-        u = s.project(x).point
+        u = s.project(x)
         direction = x - u
         dist = np.linalg.norm(direction)
         if dist < 1e-9:

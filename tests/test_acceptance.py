@@ -221,14 +221,14 @@ def test_criterion_09_geometry_certificates():
         span = hi - lo
         xs = lo - 0.5 * span + rng.random((200, s.dim)) * 2.0 * span
         for x in xs:
-            p1 = s.project(x).point
-            assert np.max(np.abs(s.project(p1).point - p1)) <= 1e-12
+            p1 = s.project(x)
+            assert np.max(np.abs(s.project(p1) - p1)) <= 1e-12
         if isinstance(s, (Box, Ball, Halfspace)):
             ys = lo - 0.5 * span + rng.random((1000, s.dim)) * 2.0 * span
             zs = lo - 0.5 * span + rng.random((1000, s.dim)) * 2.0 * span
             for y, z in zip(ys, zs):
-                py = s.project(y).point
-                pz = s.project(z).point
+                py = s.project(y)
+                pz = s.project(z)
                 assert np.linalg.norm(py - pz) <= np.linalg.norm(y - z) + 1e-12
     _ok(9, "prox-normal certificates, idempotence, and nonexpansiveness hold")
 

@@ -130,7 +130,7 @@ def test_every_set_kind_round_trips(tmp_path, s):
         scheme="proximal",
         k=1.0,
         r=1.0,
-        start=tuple(s.project(np.zeros(s.dim)).point.tolist()),
+        start=tuple(s.project(np.zeros(s.dim)).tolist()),
         bifunction_kind="zero",
         set_kind=s.kind,
         set_params=tuple(sorted(plain.items())),
@@ -192,13 +192,13 @@ def test_cli_exit_subproblem_failure(tmp_path):
     assert code == 3
 
 
-def test_cli_solve_input_error_exits_1(tmp_path, capsys):
-    # solver.lambda = auto samples the 12-d unit ball from its bounding box,
-    # which runs out of draws: an input/guard error, not a solver failure.
+def _ball12(lam: str) -> str:
+    """A proximal run on the 12-d unit ball, whose sampling from the bounding
+    box runs out of draws."""
     d = 12
     zeros = ", ".join(["0.0"] * d)
     rows = "; ".join(", ".join("1.0" if i == j else "0.0" for j in range(d)) for i in range(d))
-    ball12 = f"""\
+    return f"""\
 scheme = proximal
 problem.k = 1.0
 problem.r = 1.0
@@ -209,15 +209,35 @@ problem.bifunction.offset = -2.0{", 0.0" * (d - 1)}
 problem.set.kind = ball
 problem.set.center = {zeros}
 problem.set.radius = 1.0
-solver.lambda = auto
+solver.lambda = {lam}
 """
+
+
+def test_cli_solve_input_error_exits_1(tmp_path, capsys):
+    # solver.lambda = auto samples the 12-d unit ball from its bounding box,
+    # which runs out of draws: an input/guard error, not a solver failure.
     out = tmp_path / "out"
-    code = main(["run", _write(tmp_path, ball12), "--out", str(out)])
+    code = main(["run", _write(tmp_path, _ball12("auto")), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
     assert "proxequil: ball: 34 of 100 points after 110000 draws" in err
     assert "solver failure" not in err
     assert not (out / "summary.json").exists()
+
+
+def test_cli_reports_uncomputed_merits(tmp_path, capsys):
+    # A fixed lambda solves without sampling; the residual and the gap then
+    # sample their starts, run out of draws and are written as null.
+    out = tmp_path / "out"
+    code = main(["run", _write(tmp_path, _ball12("0.5")), "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "converged"
+    assert summary["final_residual"] is None and summary["final_gap"] is None
+    err = capsys.readouterr().err
+    assert "proxequil: final_residual not computed: ball: " in err
+    assert "proxequil: final_gap not computed: ball: " in err
+    assert err.count("of 8 points after 18000 draws") == 2
 
 
 def test_cli_exit_oracle_disagreement(tmp_path):

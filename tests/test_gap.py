@@ -143,6 +143,22 @@ def test_gap_gradient_requires_grad_u():
         gap_gradient(g, np.array([0.5, 0.0]), CFG)
 
 
+@pytest.mark.parametrize(
+    "merit",
+    [
+        lambda p, u: problem_residual(p, u),
+        lambda p, u: w_map(GapModel(p), u, CFG),
+        lambda p, u: gap_value(GapModel(p), u, CFG),
+    ],
+    ids=["problem_residual", "w_map", "gap_value"],
+)
+def test_best_response_needs_grad_v(merit):
+    f = ball_pull().bifunction
+    p = UREProblem(Bifunction(eval=f.eval, grad_v=None), Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
+    with pytest.raises(MissingGradient):
+        merit(p, np.array([0.5, 0.0]))
+
+
 def test_necessary_condition_reports():
     rep = check_necessary_condition(GapModel(ball_pull()), 200, 0)
     assert rep.passed

@@ -10,7 +10,6 @@ from proxequil import (
     Ball,
     Box,
     BoxMinusBall,
-    DegenerateProjection,
     DimensionMismatch,
     Halfspace,
     NonFiniteValue,
@@ -56,8 +55,8 @@ def test_projection_idempotent_and_member():
     for k, s in enumerate(shipped_sets()):
         pts = _random_points(s, 200, seed=k)
         for x in pts:
-            p1 = s.project(x).point
-            p2 = s.project(p1).point
+            p1 = s.project(x)
+            p2 = s.project(p1)
             assert np.max(np.abs(p2 - p1)) <= 1e-12
             assert s.contains(p1)
 
@@ -67,10 +66,10 @@ def test_projection_idempotent_and_member():
 def test_ball_projection_properties(xy):
     s = Ball(np.array([0.5, -0.5]), 2.0)
     x = np.array(xy)
-    p = s.project(x).point
+    p = s.project(x)
     assert s.contains(p)
     assert np.linalg.norm(p - s.center) <= s.radius + 1e-12
-    np.testing.assert_allclose(s.project(p).point, p, atol=1e-12)
+    np.testing.assert_allclose(s.project(p), p, atol=1e-12)
 
 
 def test_convex_projections_nonexpansive():
@@ -80,15 +79,15 @@ def test_convex_projections_nonexpansive():
         xs = _random_points(s, 1000, seed=10 + k)
         ys = _random_points(s, 1000, seed=20 + k)
         for x, y in zip(xs, ys):
-            px = s.project(x).point
-            py = s.project(y).point
+            px = s.project(x)
+            py = s.project(y)
             assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
 
 
 @pytest.mark.parametrize("s", shipped_sets(), ids=lambda s: s.kind)
 def test_project_validates_its_input(s):
     x = [float(c) for c in s.bounding_box[1]]
-    np.testing.assert_array_equal(s.project(x).point, s.project(np.array(x)).point)
+    np.testing.assert_array_equal(s.project(x), s.project(np.array(x)))
     with pytest.raises(DimensionMismatch):
         s.project(np.zeros(s.dim + 1))
     with pytest.raises(NonFiniteValue):
@@ -97,58 +96,43 @@ def test_project_validates_its_input(s):
 
 def test_sphere_center_tiebreak():
     s = Sphere(np.array([1.0, 2.0]), 3.0)
-    res = s.project(np.array([1.0, 2.0]))
-    assert not res.unique
-    np.testing.assert_allclose(res.point, [4.0, 2.0], atol=0)
-    with pytest.raises(DegenerateProjection):
-        s.project(np.array([1.0, 2.0]), strict_uniqueness=True)
+    np.testing.assert_allclose(s.project(np.array([1.0, 2.0])), [4.0, 2.0], atol=0)
 
 
 def test_two_ball_bisector_tiebreak():
     s = TwoBallUnion(np.array([-2.0, 0.0]), 1.0, np.array([2.0, 0.0]), 1.0)
-    res = s.project(np.array([0.0, 0.3]))
-    assert not res.unique
+    p = s.project(np.array([0.0, 0.3]))
     # equidistant from both balls; the lexicographically smaller center wins
-    assert res.point[0] < 0
-    assert s.contains(res.point)
-    with pytest.raises(DegenerateProjection):
-        s.project(np.array([0.0, 0.3]), strict_uniqueness=True)
-    # clearly one-sided points are unique
-    assert s.project(np.array([2.5, 0.0])).unique
+    assert p[0] < 0
+    assert s.contains(p)
+    # clearly one-sided points go to their own ball
+    np.testing.assert_allclose(s.project(np.array([4.0, 0.0])), [3.0, 0.0], atol=1e-12)
 
 
 def test_annulus_projects_hole_to_inner_rim():
     s = Annulus(np.zeros(2), 1.0, 2.0)
     np.testing.assert_allclose(
-        s.project(np.array([0.25, 0.0])).point, [1.0, 0.0], atol=1e-12
+        s.project(np.array([0.25, 0.0])), [1.0, 0.0], atol=1e-12
     )
     np.testing.assert_allclose(
-        s.project(np.array([3.0, 0.0])).point, [2.0, 0.0], atol=1e-12
+        s.project(np.array([3.0, 0.0])), [2.0, 0.0], atol=1e-12
     )
     # the center is equidistant from the whole inner rim
-    res = s.project(np.zeros(2))
-    assert not res.unique
-    np.testing.assert_allclose(res.point, [1.0, 0.0], atol=0)
-    with pytest.raises(DegenerateProjection):
-        s.project(np.zeros(2), strict_uniqueness=True)
+    np.testing.assert_allclose(s.project(np.zeros(2)), [1.0, 0.0], atol=0)
 
 
 def test_box_minus_ball_projections():
     s = BoxMinusBall(np.array([-2.0, -2.0]), np.array([2.0, 2.0]), np.zeros(2), 1.0)
     # hole points push radially to the removed sphere
     np.testing.assert_allclose(
-        s.project(np.array([0.5, 0.0])).point, [1.0, 0.0], atol=1e-12
+        s.project(np.array([0.5, 0.0])), [1.0, 0.0], atol=1e-12
     )
     # exterior points clip to the box
     np.testing.assert_allclose(
-        s.project(np.array([3.0, 1.0])).point, [2.0, 1.0], atol=1e-12
+        s.project(np.array([3.0, 1.0])), [2.0, 1.0], atol=1e-12
     )
     # the ball's center is equidistant from the whole removed sphere
-    res = s.project(np.zeros(2))
-    assert not res.unique
-    np.testing.assert_allclose(res.point, [1.0, 0.0], atol=0)
-    with pytest.raises(DegenerateProjection):
-        s.project(np.zeros(2), strict_uniqueness=True)
+    np.testing.assert_allclose(s.project(np.zeros(2)), [1.0, 0.0], atol=0)
 
 
 def test_proximal_normal_certificates():
@@ -187,7 +171,7 @@ def test_membership_along_normal_ray():
     for k, s in enumerate(shipped_sets()):
         t = 0.9 * min(s.prox_constant, 2.0)
         for u, w in exterior_boundary_pairs(s, 10, seed=200 + k):
-            back = s.project(u + t * w).point
+            back = s.project(u + t * w)
             np.testing.assert_allclose(back, u, atol=1e-8)
 
 
