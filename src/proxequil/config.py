@@ -3,9 +3,9 @@ parsing, exact emission, and builders that turn a config into live objects.
 
 Format rules: one `key = value` per line, `#` comments and blank lines
 allowed, every key known, no duplicates. Vectors are comma-separated numbers,
-matrices use `;` between rows, `auto` leaves a tunable to its heuristic,
-`inf` is accepted where unbounded values make sense. parse_config(emit_config
-written to a file) reproduces the RunConfig exactly.
+matrices use `;` between rows, `auto` leaves a tunable to its heuristic, and
+every number is finite except the literal `inf` of problem.r.
+parse_config(emit_config written to a file) reproduces the RunConfig exactly.
 """
 
 from __future__ import annotations
@@ -92,14 +92,17 @@ class RunConfig:
 
 
 def _parse_scalar(text: str) -> float:
-    return float(text)
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{text!r} is not a finite number")
+    return x
 
 
 def _parse_vector(text: str) -> tuple[float, ...]:
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(p == "" for p in parts):
         raise ValueError("empty vector component")
-    return tuple(float(p) for p in parts)
+    return tuple(_parse_scalar(p) for p in parts)
 
 
 def _parse_value(key: str, text: str):

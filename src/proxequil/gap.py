@@ -149,8 +149,8 @@ def check_necessary_condition(g: GapModel, n_pairs: int, seed: int) -> Necessary
     if n_pairs <= 0:
         raise ValueError("n_pairs must be positive")
     f = g.problem.bifunction
-    if f.grad_u is None or f.grad_v is None:
-        raise MissingGradient("necessary-condition check needs both partial gradients")
+    if f.grad_u is None:
+        raise MissingGradient("necessary-condition check needs the first-slot gradient of F")
     G = g.regularizer
     s = g.problem.feasible_set
     U = s.sample(n_pairs, seed)

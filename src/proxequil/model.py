@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from ._minimize import multistart_minimize
-from .errors import MissingGradient, NonFiniteValue, PointNotInSet
+from .errors import DimensionMismatch, MissingGradient, NonFiniteValue, PointNotInSet
 from .geometry import Array, ConstraintSet, as_vector
 
 
@@ -62,10 +62,12 @@ class Trace:
 class Bifunction:
     """F(u, v) with the partial gradients the solvers need.
 
-    grad_v is the gradient in the second slot (drives every scheme); grad_u,
+    grad_v is the gradient in the second slot; it drives every scheme and
+    every best response, so it is required and checked once, here. grad_u,
     in the first slot, is only needed by the gap gradient and the necessary
     condition check and may be omitted. diagonal_zero records that
-    F(u, u) = 0, which the gap construction requires.
+    F(u, u) = 0, which the gap construction requires. eval_rows and
+    grad_v_rows are the batch forms of F and grad_v over rows.
     """
 
     eval: Callable[[Array, Array], float]
@@ -73,6 +75,10 @@ class Bifunction:
     grad_u: Callable[[Array, Array], Array] | None = None
     vi_operator: Callable[[Array], Array] | None = None
     diagonal_zero: bool = True
+
+    def __post_init__(self):
+        if self.grad_v is None:
+            raise MissingGradient("a bifunction needs the second-slot gradient grad_v")
 
     def __call__(self, u: Array, v: Array) -> float:
         return float(self.eval(u, v))
@@ -84,11 +90,23 @@ class Bifunction:
             return (V - u) @ np.asarray(self.vi_operator(u), dtype=float)
         return np.array([self(u, v) for v in V], dtype=float)
 
+    def grad_v_rows(self, U: Array, V: Array) -> Array:
+        """grad_v F(u, v) for every row pair (u, v) of U and V, shape (n, d):
+        one call T(U) for a VI bifunction, else one grad_v call per pair."""
+        if self.vi_operator is not None:
+            G = np.asarray(self.vi_operator(U), dtype=float)
+            if G.shape != U.shape:
+                raise DimensionMismatch(f"T maps rows of shape {U.shape} to {G.shape}; it must act row by row")
+            return G
+        return np.array([self.grad_v(u, v) for u, v in zip(U, V)], dtype=float).reshape(U.shape)
+
 
 def make_vi_bifunction(T: Callable[[Array], Array], JT: Callable[[Array], Array] | None = None) -> Bifunction:
     """The bifunction <T(u), v-u> of a variational inequality.
 
-    The second-slot gradient is T(u) exactly; the first-slot gradient
+    T maps a stack of points row by row: for an (n, d) array it returns the
+    (n, d) array of T at each row, which Bifunction.grad_v_rows uses as one
+    call. The second-slot gradient is T(u) exactly; the first-slot gradient
     JT(u)^T (v-u) - T(u) is available when the Jacobian is supplied.
     """
 
@@ -182,8 +200,6 @@ def _best_response(
     keeping the best converged result; starting at u keeps m <= reg(u, u).
     """
     f = problem.bifunction
-    if f.grad_v is None:
-        raise MissingGradient("the best response needs the second-slot gradient of F")
     s = problem.feasible_set
 
     def value(v: Array) -> float:

@@ -10,12 +10,15 @@ grid_solve scores every feasible grid point u by the worst value
 
 and returns the argmax. Since v = u contributes zero, m(u) <= 0 with equality
 exactly at grid solutions; the best point is certified when m is within a
-sampled-Lipschitz tolerance C * h of zero. The VI form F(u, v) = <T(u), v-u>
-expands to a matrix product, evaluated in chunks with early abandoning: a row
-whose running minimum already fell below the best certified value so far can
-never become the argmax and is dropped from later blocks. Each row starts on
-a 128-point v-block and the blocks grow fourfold up to 4096 points, so most
-rows are dropped after a few hundred products instead of thousands.
+sampled-Lipschitz tolerance C * h of zero. T at every grid point and the
+sampled gradients behind C each come from one Bifunction.grad_v_rows call,
+which trusts a VI's T to map rows (see make_vi_bifunction) without probing
+it. The VI form F(u, v) = <T(u), v-u> expands to a matrix product, evaluated
+in chunks with early abandoning: a row whose running minimum already fell
+below the best certified value so far can never become the argmax and is
+dropped from later blocks. Each row starts on a 128-point v-block and the
+blocks grow fourfold up to 4096 points, so most rows are dropped after a
+few hundred products instead of thousands.
 """
 
 from __future__ import annotations
@@ -90,47 +93,16 @@ def _grid_points(s: ConstraintSet, gs: GridSpec) -> tuple[Array, float]:
     return points, h
 
 
-def _inner_lipschitz(p: UREProblem, f: Bifunction) -> float:
+def _inner_lipschitz(p: UREProblem) -> float:
     """Twice the largest gradient norm of v -> F(u,v) + kappa||v-u||^2 over
-    1000 sampled pairs (u, v); for a VI the gradients T(u) + 2 kappa (v-u)
-    of all pairs are one batch."""
+    1000 sampled pairs (u, v), all of them in one Bifunction.grad_v_rows call."""
     try:
         U = p.feasible_set.sample(1000, 0)
         V = p.feasible_set.sample(1000, 1)
     except SamplingExhausted:
         U = V = p.feasible_set.sample(8, 0)
-    if f.vi_operator is not None:
-        grads = _apply_operator(f.vi_operator, U) + 2.0 * p.kappa * (V - U)
-        return 2.0 * float(np.linalg.norm(grads, axis=1).max())
-    worst = 0.0
-    for u, v in zip(U, V):
-        if f.grad_v is not None:
-            grad = f.grad_v(u, v) + 2.0 * p.kappa * (v - u)
-        else:
-            grad = finite_diff_gradient(lambda x: f(u, x) + p.kappa * float((x - u) @ (x - u)), v)
-        worst = max(worst, float(np.linalg.norm(grad)))
-    return 2.0 * worst
-
-
-def _batch_operator(T, V: Array):
-    """Vectorized T over rows when T supports it and matches pointwise calls."""
-    try:
-        out = np.asarray(T(V), dtype=float)
-    except Exception:
-        return None
-    if out.shape != V.shape:
-        return None
-    for i in (0, V.shape[0] // 2, V.shape[0] - 1):
-        if not np.allclose(out[i], np.asarray(T(V[i]), dtype=float), rtol=1e-12, atol=1e-12):
-            return None
-    return out
-
-
-def _apply_operator(T, V: Array) -> Array:
-    out = _batch_operator(T, V)
-    if out is not None:
-        return out
-    return np.array([np.asarray(T(v), dtype=float) for v in V])
+    grads = p.bifunction.grad_v_rows(U, V) + 2.0 * p.kappa * (V - U)
+    return 2.0 * float(np.linalg.norm(grads, axis=1).max())
 
 
 def _vi_grid_argmax(T_all: Array, V: Array, kappa: float) -> tuple[int, float]:
@@ -215,11 +187,10 @@ def grid_solve(p: UREProblem, gs: GridSpec) -> OracleResult:
     V = points[feasible]
     if V.shape[0] == 0:
         raise EmptyGrid("no grid point passed the membership test")
-    C = _inner_lipschitz(p, f)
+    C = _inner_lipschitz(p)
 
     if f.vi_operator is not None:
-        T_all = _apply_operator(f.vi_operator, V)
-        row, m_best = _vi_grid_argmax(T_all, V, p.kappa)
+        row, m_best = _vi_grid_argmax(f.grad_v_rows(V, V), V, p.kappa)
     else:
         n = V.shape[0]
         if n * n > MAX_GENERIC_EVALS:

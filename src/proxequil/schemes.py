@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyTrace, MissingGradient, PointNotInSet, SubproblemFailed
+from .errors import EmptyTrace, PointNotInSet, SubproblemFailed
 from .geometry import Array, ConstraintSet, as_vector
 from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem
 
@@ -67,8 +67,6 @@ def solve_subproblem(spec: SubproblemSpec, cfg: SolverConfig) -> Array:
     SubproblemFailed when cfg.max_inner sweeps do not get there.
     """
     f = spec.problem.bifunction
-    if f.grad_v is None:
-        raise MissingGradient("solve_subproblem needs grad_v")
     project = spec.problem.feasible_set.project
     z = spec.base_point
     scale = spec.lam / (1.0 + spec.kappa)
@@ -117,10 +115,10 @@ def verify_subproblem_inequality(spec: SubproblemSpec, w: Array, seed: int = 0) 
 
 def default_step_size(problem: UREProblem, seed: int = 0) -> float:
     """0.5 / (1 + L) with L a Lipschitz estimate of grad_v F over 100
-    sampled pairs."""
+    sampled pairs, taken one pair at a time: Bifunction.grad_v_rows (a matrix
+    product) and row norms can move L by an ulp, and so every lambda = auto run.
+    """
     f = problem.bifunction
-    if f.grad_v is None:
-        raise MissingGradient("step-size heuristic needs grad_v")
     X = problem.feasible_set.sample(100, seed)
     Y = problem.feasible_set.sample(100, seed + 1)
     L = 0.0
@@ -157,8 +155,6 @@ def _iterate(
     u0 = as_vector(u0, problem.dim, "u0")
     if not problem.feasible_set.contains(u0):
         raise PointNotInSet("u0 is not in the feasible set")
-    if problem.bifunction.grad_v is None:
-        raise MissingGradient("the fixed-point schemes need grad_v")
     lam = _resolve_lam(problem, cfg)
     records = [TraceRecord(0, u0, 0.0, _natural_residual(problem, u0, lam))]
     u_prev = u_n = u0

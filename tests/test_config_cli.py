@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxequil import ParseError, RunConfig, ValidationError, config, emit_config, parse_config
+from proxequil import GapModel, ParseError, RunConfig, ValidationError, config, emit_config, gap_value, parse_config
 from proxequil.cli import execute, main
 from problems import shipped_sets
 
@@ -69,6 +69,28 @@ def test_bad_value_rejected(tmp_path):
     path = _write(tmp_path, MINIMAL.replace("problem.k = 1.0", "problem.k = banana"))
     with pytest.raises(ParseError):
         parse_config(path)
+
+
+_NON_FINITE = [
+    ("problem.k", "problem.k = 1.0", "problem.k = inf"),
+    ("problem.r", "problem.r = 1.0", "problem.r = nan"),
+    ("problem.set.radius", "radius = 1.0", "radius = inf"),
+    ("problem.start", "start = 0.0, -1.0", "start = 0.0, -inf"),
+    ("problem.bifunction.matrix", "0.0, 1.0\n", "0.0, inf\n"),
+    ("problem.bifunction.offset", "offset = -2.0, 0.0", "offset = nan, 0.0"),
+    ("solver.outer_tol", "", "solver.outer_tol = inf\n"),
+    ("solver.lambda", "", "solver.lambda = inf\n"),
+    ("solver.alpha", "", "solver.alpha = -inf\n"),
+    ("oracle.tol", "", "oracle.tol = nan\n"),
+]
+
+
+@pytest.mark.parametrize("key, old, new", _NON_FINITE, ids=[case[0] for case in _NON_FINITE])
+def test_non_finite_value_names_key(tmp_path, key, old, new):
+    text = MINIMAL.replace(old, new) if old else MINIMAL + new
+    with pytest.raises(ParseError) as err:
+        parse_config(_write(tmp_path, text))
+    assert f"bad value for {key}: " in str(err.value)
 
 
 def test_negative_k_names_field(tmp_path):
@@ -274,6 +296,26 @@ solver.lambda = 0.5
     assert summary["status"] == "converged"
     np.testing.assert_allclose(summary["final_point"], [1.0, 0.0, 0.0, 0.0], atol=1e-6)
     assert (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, alpha",
+    [
+        ("problem.r = 1.0", "problem.r = 1.0\nsolver.alpha = 2.0", 2.0),
+        ("problem.k = 1.0\nproblem.r = 1.0", "problem.k = 4.0\nproblem.r = inf", 4.0),
+    ],
+    ids=["solver_alpha", "infinite_r"],
+)
+def test_cli_final_gap_weight(tmp_path, old, new, alpha):
+    # solver.alpha is used as given; with r = inf there is no k/r and the gap
+    # weight falls back to k. One step leaves a point with a positive gap.
+    rc = parse_config(_write(tmp_path, MINIMAL.replace(old, new) + "solver.max_outer = 1\n"))
+    out = tmp_path / "out"
+    assert execute(rc, out_dir=str(out)) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    p, final = config.build_problem(rc), np.array(summary["final_point"])
+    assert summary["final_gap"] == gap_value(GapModel(p, alpha=alpha), final, rc.solver)
+    assert summary["final_gap"] != gap_value(GapModel(p, alpha=1.0), final, rc.solver)
 
 
 def test_cli_input_errors(tmp_path, capsys):

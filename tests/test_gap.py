@@ -1,6 +1,7 @@
 """Gap function machinery: w-map, value, gradient, line search, descent."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from proxequil import (
     gap_gradient,
     gap_value,
     line_search,
+    make_vi_bifunction,
     problem_residual,
     w_map,
 )
@@ -154,8 +156,8 @@ def test_gap_gradient_requires_grad_u():
 )
 def test_best_response_needs_grad_v(merit):
     f = ball_pull().bifunction
-    p = UREProblem(Bifunction(eval=f.eval, grad_v=None), Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
     with pytest.raises(MissingGradient):
+        p = UREProblem(Bifunction(eval=f.eval, grad_v=None), Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
         merit(p, np.array([0.5, 0.0]))
 
 
@@ -220,6 +222,20 @@ def test_descent_gaps_monotone_on_annulus():
     for before, after in zip(gaps, gaps[1:]):
         assert after <= before
     assert annulus_pull_inner().feasible_set.contains(trace.final_point, 1e-8)
+
+
+def test_descent_stops_at_the_iteration_budget():
+    # T(u) = A u + b with a rotating A: the full run from (0, -1) takes 141 steps.
+    A = np.array([[1.0, 2.0], [-2.0, 1.0]])
+    b = np.array([-2.0, 0.0])
+    f = make_vi_bifunction(lambda u: np.asarray(u) @ A.T + b, lambda u: A)
+    g = GapModel(UREProblem(f, Ball(np.zeros(2), 1.0), k=1.0, r=1.0))
+    trace = descent_solve(g, replace(CFG, max_outer=2), np.array([0.0, -1.0]))
+    assert trace.status is Status.MAX_ITERATIONS
+    assert len(trace.records) == 3
+    assert trace.iterations == 2
+    assert all("t" in r.extras for r in trace.records[:-1])
+    assert "t" not in trace.records[-1].extras
 
 
 def test_descent_strict_segment_fails_on_nonconvex():

@@ -10,7 +10,9 @@ import pytest
 from proxequil import (
     Ball,
     Bifunction,
+    DimensionMismatch,
     GridSpec,
+    MissingGradient,
     PointNotInSet,
     SolverConfig,
     Sphere,
@@ -101,6 +103,48 @@ def test_eval_rows_of_no_rows_is_empty():
     quad = Bifunction(eval=lambda u, v: float(v @ v), grad_v=lambda u, v: 2.0 * v)
     for f in (pull_bifunction([2.0, 0.0]), quad):
         assert f.eval_rows(u, np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("kind", ["affine_vi", "zero"])
+def test_grad_v_rows_matches_calls_for_config_kinds(kind):
+    rc = parse_config(str(CONFIG_DIR / "ball_proximal.cfg"))
+    rc = replace(rc, bifunction_kind=kind, matrix=((1.0, 0.5), (-0.5, 2.0)), offset=(-2.0, 0.3))
+    f = config.build_bifunction(rc)
+    U = Ball(np.zeros(2), 1.0).sample(200, seed=8)
+    V = Ball(np.zeros(2), 1.0).sample(200, seed=9)
+    rows = f.grad_v_rows(U, V)
+    assert rows.shape == (200, 2)
+    np.testing.assert_allclose(rows, [f.grad_v(u, v) for u, v in zip(U, V)], rtol=0, atol=1e-14)
+    if kind == "zero":
+        assert not rows.any()
+
+
+def test_grad_v_rows_loops_over_a_plain_bifunction():
+    calls = []
+
+    def grad_v(u, v):
+        calls.append(1)
+        return 2.0 * v - u
+
+    f = Bifunction(eval=lambda u, v: float(v @ v - u @ v), grad_v=grad_v)
+    U = Ball(np.zeros(2), 1.0).sample(30, seed=2)
+    V = Ball(np.zeros(2), 1.0).sample(30, seed=3)
+    rows = f.grad_v_rows(U, V)
+    assert len(calls) == 30
+    np.testing.assert_array_equal(rows, 2.0 * V - U)
+    assert f.grad_v_rows(np.empty((0, 2)), np.empty((0, 2))).shape == (0, 2)
+
+
+def test_grad_v_rows_rejects_an_operator_that_ignores_rows():
+    f = make_vi_bifunction(lambda u: u.sum() * np.ones(2))
+    U = Ball(np.zeros(2), 1.0).sample(5, seed=1)
+    with pytest.raises(DimensionMismatch):
+        f.grad_v_rows(U, U)
+
+
+def test_bifunction_without_grad_v_is_rejected():
+    with pytest.raises(MissingGradient):
+        Bifunction(eval=lambda u, v: 0.0, grad_v=None)
 
 
 def test_diagonal_zero_sampled():

@@ -18,6 +18,7 @@ from proxequil import (
     Ball,
     Bifunction,
     Box,
+    DimensionMismatch,
     EmptyGrid,
     GridSpec,
     GridTooLarge,
@@ -195,6 +196,22 @@ def test_oracle_stays_independent_of_solver_code():
             names.add(node.name if isinstance(node, ast.FunctionDef) else node.arg)
     assert modules <= {"errors", "geometry", "model"}
     assert not names & {"project", "problem_residual", "multistart_minimize", "schemes", "gap"}
+
+
+def test_grid_solve_same_point_with_and_without_vi_operator():
+    p = ball_pull()
+    f = p.bifunction
+    twin = UREProblem(Bifunction(eval=f.eval, grad_v=f.grad_v), p.feasible_set, k=p.k, r=p.r)
+    vi, generic = grid_solve(p, GridSpec(20)), grid_solve(twin, GridSpec(20))
+    np.testing.assert_array_equal(vi.point, generic.point)
+    np.testing.assert_allclose(vi.point, [1.0, 0.0], atol=1e-12)
+    assert vi.tolerance == pytest.approx(generic.tolerance, rel=1e-12)
+
+
+def test_grid_solve_rejects_an_operator_that_ignores_rows():
+    f = make_vi_bifunction(lambda u: u.sum() * np.ones(2))
+    with pytest.raises(DimensionMismatch):
+        grid_solve(UREProblem(f, Ball(np.zeros(2), 1.0), k=1.0, r=1.0), GridSpec(20))
 
 
 def test_custom_box_restricts_search():

@@ -315,8 +315,8 @@ def test_polarization_identity():
 @pytest.mark.parametrize("solve", [proximal_solve, inertial_proximal_solve, explicit_solve])
 def test_missing_gradient_is_reported(solve):
     f = ball_pull().bifunction
-    p = UREProblem(Bifunction(eval=f.eval, grad_v=None), Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
     with pytest.raises(MissingGradient):
+        p = UREProblem(Bifunction(eval=f.eval, grad_v=None), Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
         solve(p, SolverConfig(lam=0.5), U0)
 
 
