@@ -115,8 +115,8 @@ def verify_subproblem_inequality(spec: SubproblemSpec, w: Array, seed: int = 0) 
 
 def default_step_size(problem: UREProblem, seed: int = 0) -> float:
     """0.5 / (1 + L) with L a Lipschitz estimate of grad_v F over 100
-    sampled pairs, taken one pair at a time: Bifunction.grad_v_rows (a matrix
-    product) and row norms can move L by an ulp, and so every lambda = auto run.
+    sampled pairs, one pair at a time: Bifunction.grad_v_rows (a matrix
+    product) and row norms can move L by an ulp, and with it each lambda = auto run.
     """
     f = problem.bifunction
     X = problem.feasible_set.sample(100, seed)
