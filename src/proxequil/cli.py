@@ -64,7 +64,11 @@ def _write_trace(path: Path, trace: Trace) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _verify_steps(p: UREProblem, cfg: SolverConfig, rc: RunConfig, trace: Trace) -> tuple[bool, float]:
+def _verify_steps(
+    p: UREProblem, cfg: SolverConfig, rc: RunConfig, trace: Trace
+) -> tuple[bool | None, float | None]:
+    """(all passed, worst violation) over the accepted steps; (None, None)
+    when the trace has no accepted step."""
     lam = _resolve_lam(p, cfg)
     gamma = 0.0 if rc.scheme == "proximal" else cfg.gamma
     pts = [r.point for r in trace.records]
@@ -72,7 +76,10 @@ def _verify_steps(p: UREProblem, cfg: SolverConfig, rc: RunConfig, trace: Trace)
     for n in range(len(pts) - 1):
         spec = SubproblemSpec(p, pts[n], pts[n - 1] if n else pts[0], lam, gamma)
         checks.append(verify_subproblem_inequality(spec, pts[n + 1], seed=cfg.seed))
-    return all(c.passed for c in checks), max((c.worst_violation for c in checks), default=-np.inf)
+    if not checks:
+        print("proxequil: subproblem check not computed: no accepted step", file=sys.stderr)
+        return None, None
+    return all(c.passed for c in checks), max(c.worst_violation for c in checks)
 
 
 def execute(

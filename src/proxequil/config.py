@@ -11,7 +11,7 @@ parse_config(emit_config written to a file) reproduces the RunConfig exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -32,37 +32,35 @@ _SOLVER_KEYS = {
     f.name: "solver.lambda" if f.name == "lam" else f"solver.{f.name}" for f in fields(SolverConfig)
 }
 
+# RunConfig field -> (config key, value type), in emission order; the
+# problem.set.* and solver.* keys of set_params and solver follow
+# problem.set.kind
+_RUN_KEYS = {
+    "scheme": ("scheme", "string"),
+    "k": ("problem.k", "scalar"),
+    "r": ("problem.r", "scalar_or_inf"),
+    "start": ("problem.start", "vector"),
+    "bifunction_kind": ("problem.bifunction.kind", "string"),
+    "matrix": ("problem.bifunction.matrix", "matrix"),
+    "offset": ("problem.bifunction.offset", "vector"),
+    "set_kind": ("problem.set.kind", "string"),
+    "oracle_enabled": ("oracle.enabled", "bool"),
+    "oracle_resolution": ("oracle.resolution", "int"),
+    "oracle_tol": ("oracle.tol", "scalar"),
+    "trace_path": ("output.trace", "string"),
+    "summary_path": ("output.summary", "string"),
+}
+
 # key -> value type used by the parser and emitter
 _SCHEMA = {
-    "scheme": "string",
-    "problem.k": "scalar",
-    "problem.r": "scalar_or_inf",
-    "problem.start": "vector",
-    "problem.bifunction.kind": "string",
-    "problem.bifunction.matrix": "matrix",
-    "problem.bifunction.offset": "vector",
-    "problem.set.kind": "string",
+    **dict(_RUN_KEYS.values()),
     **{
         f"problem.set.{f.name}": _FIELD_TYPES[f.type]
         for cls in SET_KINDS.values()
         for f in fields(cls)
     },
     **{_SOLVER_KEYS[f.name]: _FIELD_TYPES[f.type] for f in fields(SolverConfig)},
-    "oracle.enabled": "bool",
-    "oracle.resolution": "int",
-    "oracle.tol": "scalar",
-    "output.trace": "string",
-    "output.summary": "string",
 }
-
-_REQUIRED = (
-    "scheme",
-    "problem.k",
-    "problem.r",
-    "problem.start",
-    "problem.bifunction.kind",
-    "problem.set.kind",
-)
 
 
 @dataclass(frozen=True)
@@ -89,6 +87,12 @@ class RunConfig:
     oracle_tol: float = 2e-2
     trace_path: str = "trace.csv"
     summary_path: str = "summary.json"
+
+
+# the keys whose RunConfig field has no default
+_REQUIRED = tuple(
+    _RUN_KEYS[f.name][0] for f in fields(RunConfig) if f.name in _RUN_KEYS and f.default is MISSING
+)
 
 
 def _parse_scalar(text: str) -> float:
@@ -186,6 +190,10 @@ def _validate(pairs: dict[str, object], problems: list[str]) -> None:
         )
     if bkind == "affine_vi" and "problem.bifunction.matrix" not in pairs:
         problems.append("affine_vi needs problem.bifunction.matrix")
+    if bkind == "zero":
+        for key in ("problem.bifunction.matrix", "problem.bifunction.offset"):
+            if key in pairs:
+                problems.append(f"bifunction kind zero does not take {key}")
     skind = pairs.get("problem.set.kind")
     if skind is not None and skind not in SET_KINDS:
         problems.append(
@@ -248,37 +256,15 @@ def parse_config(path: str) -> RunConfig:
     if problems:
         raise ValidationError(problems)
 
-    set_params = []
-    for key, value in pairs.items():
-        if key.startswith("problem.set.") and key != "problem.set.kind":
-            set_params.append((key[len("problem.set.") :], value))
-    set_params.sort()
-
-    kwargs = dict(
-        scheme=pairs["scheme"],
-        k=pairs["problem.k"],
-        r=pairs["problem.r"],
-        start=pairs["problem.start"],
-        bifunction_kind=pairs["problem.bifunction.kind"],
-        set_kind=pairs["problem.set.kind"],
-        set_params=tuple(set_params),
-        matrix=pairs.get("problem.bifunction.matrix"),
-        offset=pairs.get("problem.bifunction.offset"),
+    set_params = sorted(
+        (key[len("problem.set.") :], value)
+        for key, value in pairs.items()
+        if key.startswith("problem.set.") and key != "problem.set.kind"
     )
-    optional = {
-        "oracle.enabled": "oracle_enabled",
-        "oracle.resolution": "oracle_resolution",
-        "oracle.tol": "oracle_tol",
-        "output.trace": "trace_path",
-        "output.summary": "summary_path",
-    }
-    for key, attr in optional.items():
-        if key in pairs:
-            kwargs[attr] = pairs[key]
-
+    kwargs = {name: pairs[key] for name, (key, _) in _RUN_KEYS.items() if key in pairs}
     try:
         solver = SolverConfig(**{name: pairs[key] for name, key in _SOLVER_KEYS.items() if key in pairs})
-        rc = RunConfig(**kwargs, solver=solver)
+        rc = RunConfig(**kwargs, set_params=tuple(set_params), solver=solver)
         build_problem(rc)
     except (ValueError, ProxequilError) as exc:
         raise ValidationError([str(exc)]) from exc
@@ -286,31 +272,18 @@ def parse_config(path: str) -> RunConfig:
 
 
 def emit_config(rc: RunConfig) -> str:
-    """Render a RunConfig as config-file text that parses back equal."""
-    lines = [
-        ("scheme", rc.scheme),
-        ("problem.k", rc.k),
-        ("problem.r", rc.r),
-        ("problem.start", rc.start),
-        ("problem.bifunction.kind", rc.bifunction_kind),
-    ]
-    if rc.matrix is not None:
-        lines.append(("problem.bifunction.matrix", rc.matrix))
-    if rc.offset is not None:
-        lines.append(("problem.bifunction.offset", rc.offset))
-    lines.append(("problem.set.kind", rc.set_kind))
-    for name, value in rc.set_params:
-        lines.append((f"problem.set.{name}", value))
-    lines.extend((key, getattr(rc.solver, name)) for name, key in _SOLVER_KEYS.items())
-    lines.extend(
-        [
-            ("oracle.enabled", rc.oracle_enabled),
-            ("oracle.resolution", rc.oracle_resolution),
-            ("oracle.tol", rc.oracle_tol),
-            ("output.trace", rc.trace_path),
-            ("output.summary", rc.summary_path),
-        ]
-    )
+    """Render a RunConfig as config-file text that parses back equal.
+
+    A field left at None (no bifunction matrix or offset) writes no line.
+    """
+    lines = []
+    for name, (key, _) in _RUN_KEYS.items():
+        value = getattr(rc, name)
+        if value is not None:
+            lines.append((key, value))
+        if name == "set_kind":
+            lines.extend((f"problem.set.{n}", v) for n, v in rc.set_params)
+            lines.extend((k, getattr(rc.solver, n)) for n, k in _SOLVER_KEYS.items())
     return "".join(f"{key} = {_fmt_value(key, value)}\n" for key, value in lines)
 
 

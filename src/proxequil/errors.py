@@ -45,10 +45,6 @@ class EmptyGrid(ProxequilError):
     """No grid point passed the membership test."""
 
 
-class InfeasibleSegment(ProxequilError):
-    """A line-search probe left the constraint set in strict mode."""
-
-
 class ParseError(ProxequilError):
     """Config file is syntactically malformed."""
 

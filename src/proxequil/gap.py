@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InfeasibleSegment, MissingGradient, PointNotInSet
+from .errors import MissingGradient, PointNotInSet
 from .geometry import Array, as_vector
 from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem, _best_response
 
@@ -170,14 +170,13 @@ def check_necessary_condition(g: GapModel, n_pairs: int, seed: int) -> Necessary
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def line_search(g: GapModel, u, d, cfg: SolverConfig, *, strict_segment: bool = False) -> float:
+def line_search(g: GapModel, u, d, cfg: SolverConfig) -> float:
     """Globally minimize t -> gap(u + t d) over [0, 1].
 
     Coarse 17-point scan to bracket the best region, golden-section refinement
     to width cfg.line_search_tol, then a final comparison that always includes
     the exact endpoints 0 and 1. Probes leaving the set are projected back
-    before evaluation; with strict_segment=True they raise InfeasibleSegment
-    instead. d = 0 returns 0 by convention.
+    before evaluation. d = 0 returns 0 by convention.
     """
     u = as_vector(u, g.problem.dim, "u")
     d = as_vector(d, g.problem.dim, "d")
@@ -190,8 +189,6 @@ def line_search(g: GapModel, u, d, cfg: SolverConfig, *, strict_segment: bool = 
         if t not in cache:
             x = u + t * d
             if not s.contains(x):
-                if strict_segment:
-                    raise InfeasibleSegment(f"probe at t={t:.6g} leaves the set")
                 x = s.project(x)
             cache[t] = gap_value(g, x, cfg)
         return cache[t]
@@ -223,15 +220,14 @@ def line_search(g: GapModel, u, d, cfg: SolverConfig, *, strict_segment: bool = 
     return best_t
 
 
-def descent_solve(g: GapModel, cfg: SolverConfig, u0, *, strict_segment: bool = False) -> Trace:
+def descent_solve(g: GapModel, cfg: SolverConfig, u0) -> Trace:
     """Minimize the gap along best-response directions with exact line search.
 
     Each record carries the gap value in extras["gap"], the step factor
     chosen at that iterate in extras["t"] (absent on the final record), and
     the direction norm ||w(u_n) - u_n|| as its residual. Stops when either
     the direction norm or the step norm falls below cfg.outer_tol. An
-    infeasible segment under strict_segment ends the run with status
-    SUBPROBLEM_FAILED.
+    accepted point outside the set is projected back onto it.
     """
     u = as_vector(u0, g.problem.dim, "u0")
     s = g.problem.feasible_set
@@ -250,15 +246,10 @@ def descent_solve(g: GapModel, cfg: SolverConfig, u0, *, strict_segment: bool = 
             return Trace(records, Status.CONVERGED)
         if n == cfg.max_outer:
             return Trace(records, Status.MAX_ITERATIONS)
-        try:
-            t = line_search(g, u, d, cfg, strict_segment=strict_segment)
-        except InfeasibleSegment:
-            return Trace(records, Status.SUBPROBLEM_FAILED)
+        t = line_search(g, u, d, cfg)
         records[-1].extras["t"] = t
         x = u + t * d
         if not s.contains(x):
-            if strict_segment:
-                return Trace(records, Status.SUBPROBLEM_FAILED)
             x = s.project(x)
         last_step = float(np.linalg.norm(x - u))
         u = x
@@ -274,16 +265,16 @@ class RegularizerReport:
     n_samples: int
 
 
-def check_regularizer_axioms(g: GapModel, n_samples: int = 500, seed: int = 0) -> RegularizerReport:
+def check_regularizer_axioms(g: GapModel) -> RegularizerReport:
     """Sampled audit of the regularizer: nonnegative, zero diagonal with zero
-    y-gradient, and midpoint-strongly convex in y with a positive modulus."""
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+    y-gradient, and midpoint-strongly convex in y with a positive modulus,
+    over 500 seeded triples of feasible points."""
+    n_samples = 500
     G = g.regularizer
     s = g.problem.feasible_set
-    X = s.sample(n_samples, seed)
-    Y = s.sample(n_samples, seed + 1)
-    Z = s.sample(n_samples, seed + 2)
+    X = s.sample(n_samples, 0)
+    Y = s.sample(n_samples, 1)
+    Z = s.sample(n_samples, 2)
     min_value = np.inf
     max_diag = 0.0
     max_diag_grad = 0.0

@@ -288,6 +288,17 @@ class Halfspace(ConstraintSet):
         return x - excess / float(self.normal @ self.normal) * self.normal
 
 
+def _radial(center: Array, radius: float, x: Array, d: float) -> Array:
+    """The point at the given radius from center in the direction of x, whose
+    distance from center is d; a center (d <= 1e-13) resolves along the first
+    axis."""
+    if d <= 1e-13:
+        p = center.copy()
+        p[0] += radius
+        return p
+    return center + radius * (x - center) / d
+
+
 @dataclass(frozen=True, eq=False)
 class Sphere(ConstraintSet):
     center: Array
@@ -317,12 +328,7 @@ class Sphere(ConstraintSet):
         return np.abs(np.linalg.norm(X - self.center, axis=1) - self.radius)
 
     def _nearest(self, x: Array) -> Array:
-        d = float(np.linalg.norm(x - self.center))
-        if d <= 1e-13:
-            p = self.center.copy()
-            p[0] += self.radius
-            return p
-        return self.center + self.radius * (x - self.center) / d
+        return _radial(self.center, self.radius, x, float(np.linalg.norm(x - self.center)))
 
     def sample(self, n: int, seed: int) -> Array:
         # Surface kind: direct sampling, rejection would never terminate.
@@ -370,14 +376,10 @@ class Annulus(ConstraintSet):
 
     def _nearest(self, x: Array) -> Array:
         d = float(np.linalg.norm(x - self.center))
-        if d <= 1e-13:
-            p = self.center.copy()
-            p[0] += self.inner_radius
-            return p
-        if d < self.inner_radius:
-            return self.center + self.inner_radius * (x - self.center) / d
+        if d <= 1e-13 or d < self.inner_radius:
+            return _radial(self.center, self.inner_radius, x, d)
         if d > self.outer_radius:
-            return self.center + self.outer_radius * (x - self.center) / d
+            return _radial(self.center, self.outer_radius, x, d)
         return x
 
 
@@ -434,11 +436,7 @@ class BoxMinusBall(ConstraintSet):
         d = float(np.linalg.norm(x - self.center))
         if d >= self.radius:
             return x
-        if d <= 1e-13:
-            p = self.center.copy()
-            p[0] += self.radius
-            return p
-        return self.center + self.radius * (x - self.center) / d
+        return _radial(self.center, self.radius, x, d)
 
 
 @dataclass(frozen=True, eq=False)

@@ -123,6 +123,16 @@ def test_missing_set_parameter(tmp_path):
     assert "problem.set.radius" in str(err.value)
 
 
+def test_zero_bifunction_rejects_affine_keys(tmp_path):
+    zero = MINIMAL.replace("kind = affine_vi", "kind = zero")
+    with pytest.raises(ValidationError) as err:
+        parse_config(_write(tmp_path, zero))
+    assert err.value.problems == [
+        "bifunction kind zero does not take problem.bifunction.matrix",
+        "bifunction kind zero does not take problem.bifunction.offset",
+    ]
+
+
 def test_shipped_configs_round_trip(tmp_path):
     configs = sorted(CONFIG_DIR.glob("*.cfg"))
     assert len(configs) == 5
@@ -335,6 +345,23 @@ def test_cli_verify_flag(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["subproblem_check_passed"] is True
     assert summary["subproblem_check_worst"] <= 1e-8
+
+
+def test_cli_verify_without_accepted_step_writes_null(tmp_path, capsys):
+    # One inner sweep fails the first subproblem, so no step is accepted.
+    text = (CONFIG_DIR / "ball_proximal.cfg").read_text() + "solver.max_inner = 1\n"
+    out = tmp_path / "out"
+    code = main(["run", _write(tmp_path, text), "--verify", "--out", str(out)])
+    assert code == 3
+
+    def strict(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=strict)
+    assert summary["status"] == "subproblem_failed"
+    assert summary["subproblem_check_passed"] is None
+    assert summary["subproblem_check_worst"] is None
+    assert "proxequil: subproblem check not computed: no accepted step" in capsys.readouterr().err
 
 
 def test_cli_seed_override(tmp_path):

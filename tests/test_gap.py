@@ -10,7 +10,6 @@ from proxequil import (
     Ball,
     Bifunction,
     GapModel,
-    InfeasibleSegment,
     MissingGradient,
     Regularizer,
     SolverConfig,
@@ -183,12 +182,10 @@ def test_line_search_quadratic_closed_form():
     assert line_search(g, u, u, CFG) == 0.0
 
 
-def test_line_search_strict_segment():
+def test_line_search_projects_probes_across_annulus_hole():
     g = GapModel(annulus_pull_inner())
     u = np.array([2.0, 0.0])
     d = np.array([-4.0, 0.0])
-    with pytest.raises(InfeasibleSegment):
-        line_search(g, u, d, CFG, strict_segment=True)
     t = line_search(g, u, d, CFG)
     assert 0.0 <= t <= 1.0
 
@@ -236,13 +233,6 @@ def test_descent_stops_at_the_iteration_budget():
     assert trace.iterations == 2
     assert all("t" in r.extras for r in trace.records[:-1])
     assert "t" not in trace.records[-1].extras
-
-
-def test_descent_strict_segment_fails_on_nonconvex():
-    g = GapModel(annulus_pull_inner())
-    trace = descent_solve(g, CFG, np.array([0.0, 1.5]), strict_segment=True)
-    assert trace.status is Status.SUBPROBLEM_FAILED
-    np.testing.assert_allclose(trace.final_point, [0.0, 1.5], atol=0)
 
 
 def test_regularizer_axioms_quadratic():
