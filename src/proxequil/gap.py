@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import MissingGradient, PointNotInSet
 from .geometry import Array, as_vector
-from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem, _best_response
+from .model import SolverConfig, Trace, UREProblem, _best_response
+from .schemes import _iterate, _start
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,30 +230,24 @@ def descent_solve(g: GapModel, cfg: SolverConfig, u0) -> Trace:
     the direction norm or the step norm falls below cfg.outer_tol. An
     accepted point outside the set is projected back onto it.
     """
-    u = as_vector(u0, g.problem.dim, "u0")
+    u0 = _start(g.problem, u0)
     s = g.problem.feasible_set
-    if not s.contains(u):
-        raise PointNotInSet("u0 is not in the feasible set")
-    records: list[TraceRecord] = []
-    last_step: float | None = None
-    for n in range(cfg.max_outer + 1):
+    d = extras = None  # the direction and record of the iterate measured last
+
+    def measure(u: Array) -> tuple[float, dict[str, float], bool]:
+        nonlocal d, extras
         w, gap = _w_and_gap(g, u, cfg)
-        d = w - u
+        d, extras = w - u, {"gap": gap}
         res = float(np.linalg.norm(d))
-        records.append(TraceRecord(n, u, last_step if last_step is not None else 0.0, res, {"gap": gap}))
-        if last_step is not None and last_step < cfg.outer_tol:
-            return Trace(records, Status.CONVERGED)
-        if res < cfg.outer_tol:
-            return Trace(records, Status.CONVERGED)
-        if n == cfg.max_outer:
-            return Trace(records, Status.MAX_ITERATIONS)
+        return res, extras, res < cfg.outer_tol
+
+    def advance(n: int, u: Array, u_prev: Array) -> Array:
         t = line_search(g, u, d, cfg)
-        records[-1].extras["t"] = t
+        extras["t"] = t
         x = u + t * d
-        if not s.contains(x):
-            x = s.project(x)
-        last_step = float(np.linalg.norm(x - u))
-        u = x
+        return x if s.contains(x) else s.project(x)
+
+    return _iterate(cfg, u0, measure, advance)
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,6 +26,7 @@ ball with the lexicographically smaller center.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -63,15 +64,16 @@ class NormalCheckReport:
 class ConstraintSet:
     """Shared behavior for all set kinds.
 
-    Subclasses provide ``dim``, ``prox_constant``, ``bounding_box``,
-    ``_distance_batch`` and ``_nearest``; everything else is derived.
+    Subclasses provide ``prox_constant``, ``bounding_box``,
+    ``_distance_batch`` and ``_nearest``; everything else, ``dim`` included,
+    is derived.
     """
 
     kind: ClassVar[str] = "abstract"
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
-        raise NotImplementedError
+        return self.bounding_box[0].shape[0]
 
     @property
     def prox_constant(self) -> float:
@@ -170,6 +172,16 @@ class ConstraintSet:
         return NormalCheckReport(worst <= 1e-9, worst, V[i], n_samples, r)
 
 
+@functools.lru_cache(maxsize=2)
+def _cached_sample(s: ConstraintSet, n: int, seed: int) -> Array:
+    """s.sample(n, seed), drawn once and read-only. Sets hash by identity, so
+    the repeated draws of one run share it; two entries keep a --verify run's
+    8-point and 10^4-point draws from evicting each other."""
+    X = s.sample(n, seed)
+    X.setflags(write=False)
+    return X
+
+
 @dataclass(frozen=True, eq=False)
 class Box(ConstraintSet):
     lower: Array
@@ -182,10 +194,6 @@ class Box(ConstraintSet):
         object.__setattr__(self, "upper", as_vector(self.upper, self.lower.shape[0], "upper"))
         if np.any(self.lower > self.upper):
             raise ValueError("box needs lower <= upper componentwise")
-
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
 
     @property
     def prox_constant(self) -> float:
@@ -214,10 +222,6 @@ class Ball(ConstraintSet):
         object.__setattr__(self, "radius", float(self.radius))
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
 
     @property
     def prox_constant(self) -> float:
@@ -266,10 +270,6 @@ class Halfspace(ConstraintSet):
             raise ValueError("window needs lower <= upper componentwise")
 
     @property
-    def dim(self) -> int:
-        return self.normal.shape[0]
-
-    @property
     def prox_constant(self) -> float:
         return math.inf
 
@@ -313,10 +313,6 @@ class Sphere(ConstraintSet):
             raise ValueError("radius must be positive")
 
     @property
-    def dim(self) -> int:
-        return self.center.shape[0]
-
-    @property
     def prox_constant(self) -> float:
         return self.radius
 
@@ -357,10 +353,6 @@ class Annulus(ConstraintSet):
         object.__setattr__(self, "outer_radius", float(self.outer_radius))
         if not 0 < self.inner_radius <= self.outer_radius:
             raise ValueError("need 0 < inner_radius <= outer_radius")
-
-    @property
-    def dim(self) -> int:
-        return self.center.shape[0]
 
     @property
     def prox_constant(self) -> float:
@@ -412,10 +404,6 @@ class BoxMinusBall(ConstraintSet):
             raise ValueError("the removed ball must lie inside the box")
 
     @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
-    @property
     def prox_constant(self) -> float:
         return self.radius
 
@@ -460,10 +448,6 @@ class TwoBallUnion(ConstraintSet):
         gap = float(np.linalg.norm(self.center_a - self.center_b)) - self.radius_a - self.radius_b
         if gap <= 0:
             raise ValueError("balls must be disjoint with a positive gap")
-
-    @property
-    def dim(self) -> int:
-        return self.center_a.shape[0]
 
     @property
     def prox_constant(self) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._minimize import multistart_minimize
 from .errors import DimensionMismatch, MissingGradient, NonFiniteValue, PointNotInSet
-from .geometry import Array, ConstraintSet, as_vector
+from .geometry import Array, ConstraintSet, _cached_sample, as_vector
 
 
 class Status(enum.Enum):
@@ -196,8 +196,9 @@ def _best_response(
     """The minimizer w and minimum m over the set of v -> F(u, v) + reg(u, v).
 
     Shared by the residual (reg = kappa ||v - u||^2) and the gap (reg = G).
-    Projected gradient descent from u itself and 8 starts sampled with seed,
-    keeping the best converged result; starting at u keeps m <= reg(u, u).
+    Projected gradient descent from u itself and 8 starts sampled with seed
+    (drawn once per set and seed), keeping the best converged result;
+    starting at u keeps m <= reg(u, u).
     """
     f = problem.bifunction
     s = problem.feasible_set
@@ -208,7 +209,7 @@ def _best_response(
     def grad(v: Array) -> Array:
         return f.grad_v(u, v) + reg_grad(u, v)
 
-    starts = np.vstack([u, s.sample(8, seed)])
+    starts = np.vstack([u, _cached_sample(s, 8, seed)])
     return multistart_minimize(value, grad, s.project, starts, inner_tol, max_inner)
 
 

@@ -95,12 +95,14 @@ def _grid_points(s: ConstraintSet, gs: GridSpec) -> tuple[Array, float]:
 
 def _inner_lipschitz(p: UREProblem) -> float:
     """Twice the largest gradient norm of v -> F(u,v) + kappa||v-u||^2 over
-    1000 sampled pairs (u, v), all of them in one Bifunction.grad_v_rows call."""
+    1000 sampled pairs (u, v), all of them in one Bifunction.grad_v_rows call;
+    8 pairs when the set cannot yield 1000 points."""
     try:
         U = p.feasible_set.sample(1000, 0)
         V = p.feasible_set.sample(1000, 1)
     except SamplingExhausted:
-        U = V = p.feasible_set.sample(8, 0)
+        U = p.feasible_set.sample(8, 0)
+        V = p.feasible_set.sample(8, 1)
     grads = p.bifunction.grad_v_rows(U, V) + 2.0 * p.kappa * (V - U)
     return 2.0 * float(np.linalg.norm(grads, axis=1).max())
 
@@ -110,10 +112,11 @@ def _vi_grid_argmax(T_all: Array, V: Array, kappa: float) -> tuple[int, float]:
 
     For row u the inner objective over all v is one matrix-vector expression:
         (T(u) - 2 kappa u) . v + kappa ||v||^2 + (kappa ||u||^2 - T(u) . u).
-    Rows are processed in chunks against shuffled v-blocks of 128, 512,
-    2048 and then 4096 points; after each block a row whose running minimum
-    falls below the best completed row is abandoned. The small first blocks
-    drop most rows after 128 products; a dropped row's true m is already
+    Rows are processed in chunks, 32 rows and then 512 at a time, against
+    shuffled v-blocks of 128, 512, 2048 and then 4096 points; after each
+    block a row whose running minimum falls below the best completed row is
+    abandoned, so every row of the first chunk completes. The small first
+    blocks drop most rows after 128 products; a dropped row's true m is already
     below a completed one, so the argmax is that of the dense max-min. BLAS
     may round a product differently in its last bit with the number of rows
     still active, so near-ties can break on that rounding.
@@ -153,16 +156,7 @@ def _vi_grid_argmax(T_all: Array, V: Array, kappa: float) -> tuple[int, float]:
         completed[active] = True
         return mins + const[rows], completed
 
-    boot = order[: min(32, n)]
-    m_boot, done = full_min(boot)
-    i = int(np.argmax(m_boot))
-    best_m = float(m_boot[i])
-    best_row = int(boot[i])
-
-    rest = order[min(32, n) :]
-    u_chunk = 512
-    for start in range(0, rest.shape[0], u_chunk):
-        rows = rest[start : start + u_chunk]
+    for rows in np.split(order, range(32, n, 512)):
         m, done = full_min(rows)
         if not np.any(done):
             continue

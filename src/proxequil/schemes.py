@@ -1,9 +1,12 @@
 """Outer iterations: the implicit (proximal) step with optional inertia, the
 explicit projected step, and the Fejer-type distance diagnostic.
 
-All three schemes run one outer loop, u_{n+1} = step(u_n, u_{n-1}), in
-``_iterate``; they differ only in the step. With kappa = k/(2r) and an
-extrapolated base point
+All four schemes, these three and the gap descent of ``gap``, run one outer
+loop in ``_iterate``: measure the iterate, then step, u_{n+1} = advance(n,
+u_n, u_{n-1}). A scheme supplies only the measure (the residual written to
+its trace record, extras such as the gap, and whether the iterate is done)
+and the step. The fixed-point schemes measure the natural residual and
+differ only in the step. With kappa = k/(2r) and an extrapolated base point
 
     z = u_n - (gamma_n / (1 + kappa)) (u_n - u_prev),
 
@@ -20,14 +23,13 @@ u_{n+1} = P[u_n - lam grad_v F(u_n, u_n)], and involves no kappa at all.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import EmptyTrace, PointNotInSet, SubproblemFailed
-from .geometry import Array, ConstraintSet, as_vector
+from .geometry import Array, _cached_sample, as_vector
 from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem
 
 
@@ -89,14 +91,6 @@ class SubproblemCheck:
     n_samples: int
 
 
-@functools.lru_cache(maxsize=1)
-def _verify_sample(s: ConstraintSet, seed: int) -> Array:
-    """The read-only audit draw; sets hash by identity, so one run's steps share it."""
-    V = s.sample(10000, seed)
-    V.setflags(write=False)
-    return V
-
-
 def verify_subproblem_inequality(spec: SubproblemSpec, w: Array, seed: int = 0) -> SubproblemCheck:
     """Sampled audit of the strengthened auxiliary inequality at w.
 
@@ -105,7 +99,7 @@ def verify_subproblem_inequality(spec: SubproblemSpec, w: Array, seed: int = 0) 
     worst point is the first row of least value.
     """
     w = as_vector(w, spec.problem.dim, "w")
-    V = _verify_sample(spec.problem.feasible_set, seed)
+    V = _cached_sample(spec.problem.feasible_set, 10000, seed)
     shift = (1.0 + spec.kappa) * (w - spec.base_point)
     vals = spec.lam * spec.problem.bifunction.eval_rows(w, V) + (V - w) @ shift
     i = int(np.argmin(vals))
@@ -140,35 +134,49 @@ def _resolve_lam(problem: UREProblem, cfg: SolverConfig) -> float:
     return cfg.lam if cfg.lam is not None else default_step_size(problem, cfg.seed)
 
 
-def _iterate(
-    problem: UREProblem,
-    cfg: SolverConfig,
-    u0,
-    advance: Callable[[int, Array, Array, float], Array],
-) -> Trace:
-    """The outer loop of the fixed-point schemes: u_{n+1} = advance(n, u_n,
-    u_{n-1}, lam), with u_{-1} = u_0.
-
-    Stops when the step norm falls below cfg.outer_tol. A subproblem failure
-    ends the run early with the partial trace and status SUBPROBLEM_FAILED.
-    """
+def _start(problem: UREProblem, u0) -> Array:
+    """The validated start of a public solver, checked before anything else
+    (a step size or a sample) is computed."""
     u0 = as_vector(u0, problem.dim, "u0")
     if not problem.feasible_set.contains(u0):
         raise PointNotInSet("u0 is not in the feasible set")
-    lam = _resolve_lam(problem, cfg)
-    records = [TraceRecord(0, u0, 0.0, _natural_residual(problem, u0, lam))]
+    return u0
+
+
+_Measure = Callable[[Array], tuple[float, dict[str, float], bool]]
+
+
+def _iterate(cfg: SolverConfig, u0: Array, measure: _Measure, advance: Callable[[int, Array, Array], Array]) -> Trace:
+    """The outer loop of every scheme: u_{n+1} = advance(n, u_n, u_{n-1}),
+    with u_{-1} = u_0.
+
+    measure(u) gives each record its residual and extras and says whether u
+    is done. The run converges when the measure says so or when the step
+    norm falls below cfg.outer_tol, and stops with MAX_ITERATIONS after
+    cfg.max_outer steps. A subproblem failure ends the run early with the
+    partial trace and status SUBPROBLEM_FAILED.
+    """
+    residual, extras, done = measure(u0)
+    records = [TraceRecord(0, u0, 0.0, residual, extras)]
     u_prev = u_n = u0
     for n in range(cfg.max_outer):
+        if done:
+            return Trace(records, Status.CONVERGED)
         try:
-            u_next = advance(n, u_n, u_prev, lam)
+            u_next = advance(n, u_n, u_prev)
         except SubproblemFailed:
             return Trace(records, Status.SUBPROBLEM_FAILED)
         step = float(np.linalg.norm(u_next - u_n))
-        records.append(TraceRecord(n + 1, u_next, step, _natural_residual(problem, u_next, lam)))
-        if step < cfg.outer_tol:
-            return Trace(records, Status.CONVERGED)
+        residual, extras, done = measure(u_next)
+        records.append(TraceRecord(n + 1, u_next, step, residual, extras))
+        done = done or step < cfg.outer_tol
         u_prev, u_n = u_n, u_next
-    return Trace(records, Status.MAX_ITERATIONS)
+    return Trace(records, Status.CONVERGED if done else Status.MAX_ITERATIONS)
+
+
+def _residual_measure(problem: UREProblem, lam: float) -> _Measure:
+    """The fixed-point schemes' measure: the natural residual, never done."""
+    return lambda u: (_natural_residual(problem, u, lam), {}, False)
 
 
 def inertial_proximal_solve(
@@ -182,13 +190,15 @@ def inertial_proximal_solve(
     gamma_schedule maps the iteration index to gamma_n; the default is the
     constant cfg.gamma.
     """
+    u0 = _start(problem, u0)
+    lam = _resolve_lam(problem, cfg)
 
-    def advance(n: int, u_n: Array, u_prev: Array, lam: float) -> Array:
+    def advance(n: int, u_n: Array, u_prev: Array) -> Array:
         gamma_n = cfg.gamma if gamma_schedule is None else gamma_schedule(n)
         spec = SubproblemSpec(problem, u_n, u_prev, lam, float(gamma_n))
         return solve_subproblem(spec, cfg)
 
-    return _iterate(problem, cfg, u0, advance)
+    return _iterate(cfg, u0, _residual_measure(problem, lam), advance)
 
 
 def proximal_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
@@ -202,13 +212,15 @@ def proximal_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
 
 def explicit_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
     """Explicit scheme u_{n+1} = P[u_n - lam grad_v F(u_n, u_n)]."""
+    u0 = _start(problem, u0)
+    lam = _resolve_lam(problem, cfg)
     grad_v = problem.bifunction.grad_v
     project = problem.feasible_set.project
 
-    def advance(n: int, u_n: Array, u_prev: Array, lam: float) -> Array:
+    def advance(n: int, u_n: Array, u_prev: Array) -> Array:
         return project(u_n - lam * grad_v(u_n, u_n))
 
-    return _iterate(problem, cfg, u0, advance)
+    return _iterate(cfg, u0, _residual_measure(problem, lam), advance)
 
 
 @dataclass(frozen=True, eq=False)

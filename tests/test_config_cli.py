@@ -133,6 +133,54 @@ def test_zero_bifunction_rejects_affine_keys(tmp_path):
     ]
 
 
+_SET_KINDS = "annulus, ball, box, box_minus_ball, halfspace, sphere, two_ball_union"
+
+# (id, text replaced in configs/ball_proximal.cfg or "" to append, its
+# replacement, error type, message; {path} stands for the config's path)
+_CONFIG_ERRORS = [
+    ("no-scheme", "scheme = proximal\n", "", ValidationError, "missing required key scheme"),
+    ("bifunction-kind", "kind = affine_vi", "kind = cubic", ValidationError,
+     "problem.bifunction.kind must be one of affine_vi, zero; got 'cubic'"),
+    ("no-matrix", "problem.bifunction.matrix = 1.0, 0.0; 0.0, 1.0\n", "", ValidationError,
+     "affine_vi needs problem.bifunction.matrix"),
+    ("set-kind", "kind = ball", "kind = disk", ValidationError,
+     f"problem.set.kind must be one of {_SET_KINDS}; got 'disk'"),
+    ("negative-r", "problem.r = 1.0", "problem.r = -1", ValidationError, "problem.r must be positive; got -1.0"),
+    ("extra-set-key", "", "problem.set.inner_radius = 0.5\n", ValidationError,
+     "set kind ball does not take problem.set.inner_radius"),
+    ("outer-tol", "", "solver.outer_tol = 0\n", ValidationError, "solver.outer_tol must be positive; got 0.0"),
+    ("gamma", "", "solver.gamma = 1.0\n", ValidationError, "solver.gamma must lie in [0, 1); got 1.0"),
+    ("lambda", "solver.lambda = 0.5", "solver.lambda = -1", ValidationError,
+     "solver.lambda must be positive or auto; got -1.0"),
+    ("alpha", "", "solver.alpha = -1\n", ValidationError, "solver.alpha must be positive or auto; got -1.0"),
+    ("max-outer", "", "solver.max_outer = 0\n", ValidationError, "solver.max_outer is too small; got 0"),
+    ("resolution", "", "oracle.resolution = 1\n", ValidationError, "oracle.resolution is too small; got 1"),
+    ("matrix-shape", "1.0, 0.0; 0.0, 1.0", "1.0, 0.0, 0.0; 0.0, 1.0, 0.0; 0.0, 0.0, 1.0", ValidationError,
+     "problem.bifunction.matrix must be 2x2 to match problem.start; got (3, 3)"),
+    ("offset-length", "offset = -2.0, 0.0", "offset = -2.0, 0.0, 0.0", ValidationError,
+     "problem.bifunction.offset length must match problem.start"),
+    ("start-dimension", "start = 0.0, -1.0", "start = 0.0, -1.0, 0.0", ValidationError,
+     "problem.start has dimension 3, the set expects 2"),
+    ("start-outside", "start = 0.0, -1.0", "start = 0.0, -3.0", ValidationError,
+     "problem.start is not in the feasible set"),
+    ("empty-component", "start = 0.0, -1.0", "start = 0.0,", ParseError,
+     "{path}:5: bad value for problem.start: empty vector component"),
+    ("bool", "", "oracle.enabled = yes\n", ParseError,
+     "{path}:13: bad value for oracle.enabled: expected true or false"),
+    ("no-equals", "", "solver seed 3\n", ParseError, "{path}:13: expected 'key = value', got 'solver seed 3'"),
+]
+
+
+@pytest.mark.parametrize("old, new, error, message", [c[1:] for c in _CONFIG_ERRORS], ids=[c[0] for c in _CONFIG_ERRORS])
+def test_config_error_messages(tmp_path, old, new, error, message):
+    text = (CONFIG_DIR / "ball_proximal.cfg").read_text(encoding="utf-8")
+    assert not old or old in text
+    path = _write(tmp_path, text.replace(old, new) if old else text + new)
+    with pytest.raises(error) as err:
+        parse_config(path)
+    assert str(err.value) == message.format(path=path)
+
+
 def test_shipped_configs_round_trip(tmp_path):
     configs = sorted(CONFIG_DIR.glob("*.cfg"))
     assert len(configs) == 5

@@ -23,6 +23,7 @@ from proxequil import (
     GridSpec,
     GridTooLarge,
     NonFiniteValue,
+    SamplingExhausted,
     Sphere,
     TwoBallUnion,
     UREProblem,
@@ -31,6 +32,7 @@ from proxequil import (
     grid_solve,
     make_vi_bifunction,
 )
+from proxequil.oracle import _inner_lipschitz
 from problems import (
     annulus_pull_inner,
     annulus_pull_outer,
@@ -171,6 +173,19 @@ def test_vi_grid_zero_operator_keeps_every_row():
     lattice = np.linspace(-1.0, 1.0, 121)
     first = next(np.array([x, y]) for x in lattice for y in lattice if x * x + y * y <= 1.0)
     np.testing.assert_array_equal(res.point, first)
+
+
+def test_inner_lipschitz_fallback_keeps_kappa_term():
+    """A thin annulus yields 8 sampled points but not 1000, so the bound falls
+    back to 8 pairs; they must be distinct pairs, or the 2 kappa (v - u) part
+    of the gradient vanishes. Here T(u) + 2 kappa (v - u) = v - c."""
+    s = Annulus(np.zeros(2), 1.0, 1.0005)
+    with pytest.raises(SamplingExhausted):
+        s.sample(1000, 0)
+    c = np.array([0.2, 0.0])
+    p = UREProblem(make_vi_bifunction(lambda u: u - c), s, k=1.0, r=1.0)
+    V = s.sample(8, 1)
+    assert _inner_lipschitz(p) == pytest.approx(2.0 * np.linalg.norm(V - c, axis=1).max(), rel=1e-12)
 
 
 def test_oracle_stays_independent_of_solver_code():

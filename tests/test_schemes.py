@@ -8,8 +8,10 @@ import pytest
 from proxequil import (
     Ball,
     Bifunction,
+    GapModel,
     MissingGradient,
     EmptyTrace,
+    PointNotInSet,
     SolverConfig,
     Status,
     SubproblemFailed,
@@ -18,6 +20,7 @@ from proxequil import (
     TraceRecord,
     UREProblem,
     default_step_size,
+    descent_solve,
     explicit_solve,
     fejer_check,
     inertial_proximal_solve,
@@ -325,3 +328,20 @@ def test_default_step_size():
     # T(u) = u - p has unit Lipschitz gradient, so the heuristic gives ~1/4
     assert lam == pytest.approx(0.25, rel=1e-6)
     assert default_step_size(annulus_pull_inner()) > 0.0
+
+
+_SOLVERS = {
+    "proximal": proximal_solve,
+    "inertial": inertial_proximal_solve,
+    "explicit": explicit_solve,
+    "descent": lambda p, cfg, u0: descent_solve(GapModel(p), cfg, u0),
+}
+
+
+@pytest.mark.parametrize("solve", _SOLVERS.values(), ids=_SOLVERS.keys())
+def test_infeasible_start_fails_before_sampling(solve):
+    """A start outside the set is refused before lambda = auto is resolved:
+    sampling a 12-d ball from its bounding box would run out of draws."""
+    p = UREProblem(pull_bifunction(np.ones(12)), Ball(np.zeros(12), 1.0), k=1.0, r=1.0)
+    with pytest.raises(PointNotInSet, match="u0 is not in the feasible set"):
+        solve(p, SolverConfig(), np.full(12, 2.0))
