@@ -67,14 +67,13 @@ def _write_trace(path: Path, trace: Trace) -> None:
 def _verify_steps(
     p: UREProblem, cfg: SolverConfig, rc: RunConfig, trace: Trace
 ) -> tuple[bool | None, float | None]:
-    """(all passed, worst violation) over the accepted steps; (None, None)
-    when the trace has no accepted step."""
-    lam = _resolve_lam(p, cfg)
+    """(all passed, worst violation) over the accepted steps, with the
+    resolved step cfg.lam; (None, None) when the trace has no accepted step."""
     gamma = 0.0 if rc.scheme == "proximal" else cfg.gamma
     pts = [r.point for r in trace.records]
     checks = []
     for n in range(len(pts) - 1):
-        spec = SubproblemSpec(p, pts[n], pts[n - 1] if n else pts[0], lam, gamma)
+        spec = SubproblemSpec(p, pts[n], pts[n - 1] if n else pts[0], cfg.lam, gamma)
         checks.append(verify_subproblem_inequality(spec, pts[n + 1], seed=cfg.seed))
     if not checks:
         print("proxequil: subproblem check not computed: no accepted step", file=sys.stderr)
@@ -98,6 +97,8 @@ def execute(
         cfg = rc.solver
         if seed is not None:
             cfg = replace(cfg, seed=seed)
+        if rc.scheme != "descent":  # one resolved lambda for the solve and --verify
+            cfg = replace(cfg, lam=_resolve_lam(p, cfg))
         u0 = np.array(rc.start, dtype=float)
 
         if rc.scheme == "proximal":

@@ -316,11 +316,14 @@ def build_bifunction(rc: RunConfig) -> Bifunction:
 
 
 def build_problem(rc: RunConfig) -> UREProblem:
-    s = build_set(rc)
-    if len(rc.start) != s.dim:
-        raise ValueError(f"problem.start has dimension {len(rc.start)}, the set expects {s.dim}")
-    f = build_bifunction(rc)
-    p = UREProblem(bifunction=f, feasible_set=s, k=rc.k, r=rc.r)
-    if not s.contains(np.array(rc.start)):
-        raise ValueError("problem.start is not in the feasible set")
+    """The problem rc describes; a ValueError of its own or of a constructor
+    it calls is reported as a ValidationError."""
+    try:
+        s = build_set(rc)
+        if len(rc.start) != s.dim:
+            raise ValueError(f"problem.start has dimension {len(rc.start)}, the set expects {s.dim}")
+        p = UREProblem(bifunction=build_bifunction(rc), feasible_set=s, k=rc.k, r=rc.r)
+    except ValueError as exc:
+        raise ValidationError([str(exc)]) from exc
+    s.member(rc.start, "problem.start")
     return p

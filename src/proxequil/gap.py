@@ -21,10 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import MissingGradient, PointNotInSet
+from .errors import MissingGradient
 from .geometry import Array, as_vector
 from .model import SolverConfig, Trace, UREProblem, _best_response
-from .schemes import _iterate, _start
+from .schemes import _iterate
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,18 +98,12 @@ def w_map(g: GapModel, u, cfg: SolverConfig) -> Array:
     the best converged result. Starting at u itself guarantees the minimum
     value never exceeds zero, which is what makes the gap nonnegative.
     """
-    u = as_vector(u, g.problem.dim, "u")
-    if not g.problem.feasible_set.contains(u):
-        raise PointNotInSet("u is not in the feasible set")
-    return _w_and_gap(g, u, cfg)[0]
+    return _w_and_gap(g, g.problem.feasible_set.member(u, "u"), cfg)[0]
 
 
 def gap_value(g: GapModel, u, cfg: SolverConfig) -> float:
     """-(F(u, w) + G(u, w)) at the best response w."""
-    u = as_vector(u, g.problem.dim, "u")
-    if not g.problem.feasible_set.contains(u):
-        raise PointNotInSet("u is not in the feasible set")
-    return _w_and_gap(g, u, cfg)[1]
+    return _w_and_gap(g, g.problem.feasible_set.member(u, "u"), cfg)[1]
 
 
 def gap_gradient(g: GapModel, u, cfg: SolverConfig) -> Array:
@@ -230,8 +224,8 @@ def descent_solve(g: GapModel, cfg: SolverConfig, u0) -> Trace:
     the direction norm or the step norm falls below cfg.outer_tol. An
     accepted point outside the set is projected back onto it.
     """
-    u0 = _start(g.problem, u0)
     s = g.problem.feasible_set
+    u0 = s.member(u0, "u0")
     d = extras = None  # the direction and record of the iterate measured last
 
     def measure(u: Array) -> tuple[float, dict[str, float], bool]:

@@ -22,13 +22,17 @@ Projections onto nonconvex kinds can be set-valued on a measure-zero locus
 There ``project`` returns one nearest point by a deterministic tie-break:
 centers resolve along the first canonical axis, two-ball ties resolve to the
 ball with the lexicographically smaller center.
+
+Validation lives here too: ``ConstraintSet.__post_init__`` coerces a kind's
+fields from their annotations, and ``ConstraintSet.member`` is the one check,
+with one message, that a point handed to the package lies in its set.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -64,20 +68,36 @@ class NormalCheckReport:
 class ConstraintSet:
     """Shared behavior for all set kinds.
 
-    Subclasses provide ``prox_constant``, ``bounding_box``,
-    ``_distance_batch`` and ``_nearest``; everything else, ``dim`` included,
-    is derived.
+    A kind is a frozen dataclass of ``Array`` and ``float`` fields, coerced
+    here from their annotations: each vector through ``as_vector``, the first
+    one fixing the dimension of the rest, each scalar through ``float``. A
+    kind provides ``bounding_box``, ``_distance_batch``, ``_nearest`` and
+    ``_check`` (its own invariants), and a nonconvex kind its
+    ``prox_constant``; everything else, ``dim`` included, is derived.
+    ``member`` is the one check that a point lies in the set.
     """
 
     kind: ClassVar[str] = "abstract"
+    prox_constant: ClassVar[float] = math.inf  # +inf for the convex kinds; nonconvex kinds override it
+
+    def __post_init__(self):
+        dim = None
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "Array":
+                value = as_vector(value, dim, f.name)
+                dim = value.shape[0]
+            else:
+                value = float(value)
+            object.__setattr__(self, f.name, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise ValueError when the coerced fields break the kind's invariants."""
 
     @functools.cached_property
     def dim(self) -> int:
         return self.bounding_box[0].shape[0]
-
-    @property
-    def prox_constant(self) -> float:
-        raise NotImplementedError
 
     @property
     def bounding_box(self) -> tuple[Array, Array]:
@@ -106,6 +126,13 @@ class ConstraintSet:
         if tol is None:
             tol = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(x)))
         return bool(self._distance_batch(x[None, :])[0] <= tol)
+
+    def member(self, x, name: str = "x") -> Array:
+        """The validated x; PointNotInSet naming it when x is not in the set."""
+        x = as_vector(x, self.dim, name)
+        if not self.contains(x):
+            raise PointNotInSet(f"{name} is not in the feasible set")
+        return x
 
     def contains_batch(self, X: Array) -> Array:
         X = np.asarray(X, dtype=float)
@@ -154,10 +181,8 @@ class ConstraintSet:
         violation is at most 1e-9. Pass ``prox_constant`` to test a claimed
         constant other than the set's own.
         """
-        u = as_vector(u, self.dim, "u")
+        u = self.member(u, "u")
         w = as_vector(w, self.dim, "w")
-        if not self.contains(u):
-            raise PointNotInSet(f"u is not in the {self.kind} (distance {self.distance(u):.3e})")
         if np.linalg.norm(w) > 1.0 + 1e-12:
             raise ValueError("w must be unit-scaled: ||w|| <= 1")
         r = self.prox_constant if prox_constant is None else float(prox_constant)
@@ -189,15 +214,9 @@ class Box(ConstraintSet):
 
     kind: ClassVar[str] = "box"
 
-    def __post_init__(self):
-        object.__setattr__(self, "lower", as_vector(self.lower, name="lower"))
-        object.__setattr__(self, "upper", as_vector(self.upper, self.lower.shape[0], "upper"))
+    def _check(self):
         if np.any(self.lower > self.upper):
             raise ValueError("box needs lower <= upper componentwise")
-
-    @property
-    def prox_constant(self) -> float:
-        return math.inf
 
     @property
     def bounding_box(self) -> tuple[Array, Array]:
@@ -217,15 +236,9 @@ class Ball(ConstraintSet):
 
     kind: ClassVar[str] = "ball"
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center, name="center"))
-        object.__setattr__(self, "radius", float(self.radius))
+    def _check(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
-
-    @property
-    def prox_constant(self) -> float:
-        return math.inf
 
     @property
     def bounding_box(self) -> tuple[Array, Array]:
@@ -259,19 +272,11 @@ class Halfspace(ConstraintSet):
 
     kind: ClassVar[str] = "halfspace"
 
-    def __post_init__(self):
-        object.__setattr__(self, "normal", as_vector(self.normal, name="normal"))
-        object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "window_lower", as_vector(self.window_lower, self.normal.shape[0], "window_lower"))
-        object.__setattr__(self, "window_upper", as_vector(self.window_upper, self.normal.shape[0], "window_upper"))
+    def _check(self):
         if np.linalg.norm(self.normal) <= 0:
             raise ValueError("normal must be nonzero")
         if np.any(self.window_lower > self.window_upper):
             raise ValueError("window needs lower <= upper componentwise")
-
-    @property
-    def prox_constant(self) -> float:
-        return math.inf
 
     @property
     def bounding_box(self) -> tuple[Array, Array]:
@@ -306,9 +311,7 @@ class Sphere(ConstraintSet):
 
     kind: ClassVar[str] = "sphere"
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center, name="center"))
-        object.__setattr__(self, "radius", float(self.radius))
+    def _check(self):
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
@@ -347,10 +350,7 @@ class Annulus(ConstraintSet):
 
     kind: ClassVar[str] = "annulus"
 
-    def __post_init__(self):
-        object.__setattr__(self, "center", as_vector(self.center, name="center"))
-        object.__setattr__(self, "inner_radius", float(self.inner_radius))
-        object.__setattr__(self, "outer_radius", float(self.outer_radius))
+    def _check(self):
         if not 0 < self.inner_radius <= self.outer_radius:
             raise ValueError("need 0 < inner_radius <= outer_radius")
 
@@ -391,11 +391,7 @@ class BoxMinusBall(ConstraintSet):
 
     kind: ClassVar[str] = "box_minus_ball"
 
-    def __post_init__(self):
-        object.__setattr__(self, "lower", as_vector(self.lower, name="lower"))
-        object.__setattr__(self, "upper", as_vector(self.upper, self.lower.shape[0], "upper"))
-        object.__setattr__(self, "center", as_vector(self.center, self.lower.shape[0], "center"))
-        object.__setattr__(self, "radius", float(self.radius))
+    def _check(self):
         if np.any(self.lower > self.upper):
             raise ValueError("box needs lower <= upper componentwise")
         if self.radius <= 0:
@@ -438,11 +434,7 @@ class TwoBallUnion(ConstraintSet):
 
     kind: ClassVar[str] = "two_ball_union"
 
-    def __post_init__(self):
-        object.__setattr__(self, "center_a", as_vector(self.center_a, name="center_a"))
-        object.__setattr__(self, "radius_a", float(self.radius_a))
-        object.__setattr__(self, "center_b", as_vector(self.center_b, self.center_a.shape[0], "center_b"))
-        object.__setattr__(self, "radius_b", float(self.radius_b))
+    def _check(self):
         if self.radius_a <= 0 or self.radius_b <= 0:
             raise ValueError("radii must be positive")
         gap = float(np.linalg.norm(self.center_a - self.center_b)) - self.radius_a - self.radius_b

@@ -22,8 +22,8 @@ from typing import Callable
 import numpy as np
 
 from ._minimize import multistart_minimize
-from .errors import DimensionMismatch, MissingGradient, NonFiniteValue, PointNotInSet
-from .geometry import Array, ConstraintSet, _cached_sample, as_vector
+from .errors import DimensionMismatch, MissingGradient, NonFiniteValue
+from .geometry import Array, ConstraintSet, _cached_sample
 
 
 class Status(enum.Enum):
@@ -221,10 +221,7 @@ def problem_residual(problem: UREProblem, u, *, seed: int = 0) -> float:
     and returns max(0, -minimum). Zero means no start found a violating
     direction, so u solves the problem to the solver's resolution.
     """
-    u = as_vector(u, problem.dim, "u")
-    s = problem.feasible_set
-    if not s.contains(u):
-        raise PointNotInSet(f"u is not feasible (distance {s.distance(u):.3e})")
+    u = problem.feasible_set.member(u, "u")
     kap = problem.kappa
 
     def reg_value(u: Array, v: Array) -> float:

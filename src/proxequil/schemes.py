@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import EmptyTrace, PointNotInSet, SubproblemFailed
+from .errors import EmptyTrace, SubproblemFailed
 from .geometry import Array, _cached_sample, as_vector
 from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem
 
@@ -46,16 +46,13 @@ class SubproblemSpec:
     kappa: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "u_n", as_vector(self.u_n, self.problem.dim, "u_n"))
-        object.__setattr__(self, "u_prev", as_vector(self.u_prev, self.problem.dim, "u_prev"))
+        for name in ("u_n", "u_prev"):
+            object.__setattr__(self, name, self.problem.feasible_set.member(getattr(self, name), name))
         object.__setattr__(self, "kappa", self.problem.kappa)
         if not self.lam > 0:
             raise ValueError("lam must be positive")
         if self.gamma_n < 0:
             raise ValueError("gamma_n must be nonnegative")
-        for name, pt in (("u_n", self.u_n), ("u_prev", self.u_prev)):
-            if not self.problem.feasible_set.contains(pt):
-                raise PointNotInSet(f"{name} is not in the feasible set")
 
     @property
     def base_point(self) -> Array:
@@ -134,15 +131,6 @@ def _resolve_lam(problem: UREProblem, cfg: SolverConfig) -> float:
     return cfg.lam if cfg.lam is not None else default_step_size(problem, cfg.seed)
 
 
-def _start(problem: UREProblem, u0) -> Array:
-    """The validated start of a public solver, checked before anything else
-    (a step size or a sample) is computed."""
-    u0 = as_vector(u0, problem.dim, "u0")
-    if not problem.feasible_set.contains(u0):
-        raise PointNotInSet("u0 is not in the feasible set")
-    return u0
-
-
 _Measure = Callable[[Array], tuple[float, dict[str, float], bool]]
 
 
@@ -190,7 +178,7 @@ def inertial_proximal_solve(
     gamma_schedule maps the iteration index to gamma_n; the default is the
     constant cfg.gamma.
     """
-    u0 = _start(problem, u0)
+    u0 = problem.feasible_set.member(u0, "u0")
     lam = _resolve_lam(problem, cfg)
 
     def advance(n: int, u_n: Array, u_prev: Array) -> Array:
@@ -212,7 +200,7 @@ def proximal_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
 
 def explicit_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
     """Explicit scheme u_{n+1} = P[u_n - lam grad_v F(u_n, u_n)]."""
-    u0 = _start(problem, u0)
+    u0 = problem.feasible_set.member(u0, "u0")
     lam = _resolve_lam(problem, cfg)
     grad_v = problem.bifunction.grad_v
     project = problem.feasible_set.project

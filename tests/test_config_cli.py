@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxequil import GapModel, ParseError, RunConfig, ValidationError, config, emit_config, gap_value, parse_config
+from proxequil import GapModel, ParseError, RunConfig, ValidationError, config, emit_config, gap_value, parse_config, schemes
 from proxequil.cli import execute, main
 from problems import shipped_sets
 
@@ -432,6 +432,35 @@ def test_execute_rejects_negative_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("proxequil: ") and "-3" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(start=(0.0, -1.0, 0.0)), "problem.start has dimension 3, the set expects 2"),
+        (dict(k=-1.0), "k must be positive"),
+        (dict(set_params=(("center", (0.0, 0.0)), ("radius", -1.0))), "radius must be positive"),
+        (dict(start=(0.0, -3.0)), "problem.start is not in the feasible set"),
+    ],
+    ids=["start-dimension", "negative-k", "negative-radius", "start-outside"],
+)
+def test_execute_reports_build_errors(tmp_path, capsys, change, message):
+    # A RunConfig made in Python skips parse_config; build_problem's own
+    # checks and those of the constructors it calls still end in a message.
+    rc = replace(parse_config(str(CONFIG_DIR / "ball_proximal.cfg")), **change)
+    assert execute(rc, out_dir=str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"proxequil: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_resolves_auto_lambda_once(tmp_path, monkeypatch):
+    calls = []
+    step_size = schemes.default_step_size
+    monkeypatch.setattr(schemes, "default_step_size", lambda p, seed=0: calls.append(seed) or step_size(p, seed))
+    rc = parse_config(str(CONFIG_DIR / "ball_proximal.cfg"))
+    rc = replace(rc, solver=replace(rc.solver, lam=None))
+    assert execute(rc, out_dir=str(tmp_path / "out"), verify=True) == 0
+    assert calls == [0]
 
 
 def test_cli_suite_mode(tmp_path, capsys):

@@ -1,5 +1,9 @@
 """Constraint sets: projections, certificates, sampling, validation."""
 
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,7 @@ from proxequil import (
     Sphere,
     TwoBallUnion,
 )
-from proxequil.geometry import as_vector
+from proxequil.geometry import SET_KINDS, as_vector
 from problems import exterior_boundary_pairs, shipped_sets
 
 CONVEX_KINDS = (Box, Ball, Halfspace)
@@ -221,3 +225,47 @@ def test_as_vector_validation():
         as_vector(np.array([1.0, np.nan]))
     with pytest.raises(DimensionMismatch):
         as_vector(np.zeros((2, 2)))
+
+
+# One 2-d instance per kind, with list and int inputs.
+_KIND_ARGS = {
+    "box": dict(lower=[0, 0], upper=[1, 2]),
+    "ball": dict(center=[0, 0], radius=1),
+    "halfspace": dict(normal=[1, 0], offset=0, window_lower=[-1, -1], window_upper=[1, 1]),
+    "sphere": dict(center=[0, 0], radius=1),
+    "annulus": dict(center=[0, 0], inner_radius=1, outer_radius=2),
+    "box_minus_ball": dict(lower=[-2, -2], upper=[2, 2], center=[0, 0], radius=1),
+    "two_ball_union": dict(center_a=[-2, 0], radius_a=1, center_b=[2, 0], radius_b=1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_KIND_ARGS))
+def test_set_fields_coerced_from_annotations(kind):
+    cls, args = SET_KINDS[kind], _KIND_ARGS[kind]
+    s = cls(**args)
+    vectors = [name for name, value in args.items() if isinstance(value, list)]
+    for name, value in args.items():
+        got = getattr(s, name)
+        if name in vectors:
+            assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == (2,)
+            np.testing.assert_array_equal(got, value)
+        else:
+            assert type(got) is float and got == value
+    for name in vectors[1:]:
+        with pytest.raises(DimensionMismatch, match=f"^{name} has dimension 3, expected 2$"):
+            cls(**{**args, name: [*args[name], 0]})
+    for name in vectors:
+        with pytest.raises(NonFiniteValue, match=f"^{name} contains NaN or infinity$"):
+            cls(**{**args, name: [math.nan, 0]})
+
+
+def test_only_geometry_raises_point_not_in_set():
+    """Every membership check of the package goes through ConstraintSet.member."""
+    raisers = set()
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "proxequil").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "PointNotInSet":
+                    raisers.add(path.name)
+    assert raisers == {"geometry.py"}

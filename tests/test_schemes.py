@@ -1,6 +1,7 @@
 """Iteration schemes: subproblem, proximal, inertial, explicit, Fejér check."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,14 +20,19 @@ from proxequil import (
     Trace,
     TraceRecord,
     UREProblem,
+    ValidationError,
     default_step_size,
     descent_solve,
     explicit_solve,
     fejer_check,
+    gap_value,
     inertial_proximal_solve,
+    parse_config,
+    problem_residual,
     proximal_solve,
     solve_subproblem,
     verify_subproblem_inequality,
+    w_map,
 )
 from problems import (
     annulus_pull_inner,
@@ -345,3 +351,38 @@ def test_infeasible_start_fails_before_sampling(solve):
     p = UREProblem(pull_bifunction(np.ones(12)), Ball(np.zeros(12), 1.0), k=1.0, r=1.0)
     with pytest.raises(PointNotInSet, match="u0 is not in the feasible set"):
         solve(p, SolverConfig(), np.full(12, 2.0))
+
+
+_OUTSIDE = np.array([5.0, 5.0])
+
+
+def _parse_outside_start(tmp_path):
+    text = (Path(__file__).resolve().parent.parent / "configs" / "ball_proximal.cfg").read_text(encoding="utf-8")
+    path = tmp_path / "run.cfg"
+    path.write_text(text.replace("start = 0.0, -1.0", "start = 0.0, -3.0"), encoding="utf-8")
+    return parse_config(str(path))
+
+
+# (id, call on the unit-ball problem ball_pull() and tmp_path, error type,
+# the name its message gives the point)
+_MEMBERSHIP_ENTRY_POINTS = [
+    ("problem_residual", lambda p, tmp: problem_residual(p, _OUTSIDE), PointNotInSet, "u"),
+    ("w_map", lambda p, tmp: w_map(GapModel(p), _OUTSIDE, SolverConfig()), PointNotInSet, "u"),
+    ("gap_value", lambda p, tmp: gap_value(GapModel(p), _OUTSIDE, SolverConfig()), PointNotInSet, "u"),
+    *[(name, lambda p, tmp, solve=solve: solve(p, SolverConfig(), _OUTSIDE), PointNotInSet, "u0")
+      for name, solve in _SOLVERS.items()],
+    ("spec-u_n", lambda p, tmp: SubproblemSpec(p, _OUTSIDE, U0, 0.5, 0.0), PointNotInSet, "u_n"),
+    ("spec-u_prev", lambda p, tmp: SubproblemSpec(p, U0, _OUTSIDE, 0.5, 0.0), PointNotInSet, "u_prev"),
+    ("proximal_normal_check",
+     lambda p, tmp: p.feasible_set.proximal_normal_check(_OUTSIDE, np.array([1.0, 0.0])), PointNotInSet, "u"),
+    ("parse_config", lambda p, tmp: _parse_outside_start(tmp), ValidationError, "problem.start"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, name", [c[1:] for c in _MEMBERSHIP_ENTRY_POINTS], ids=[c[0] for c in _MEMBERSHIP_ENTRY_POINTS]
+)
+def test_point_outside_the_set_has_one_message(tmp_path, call, error, name):
+    with pytest.raises(error) as err:
+        call(ball_pull(), tmp_path)
+    assert str(err.value) == f"{name} is not in the feasible set"
