@@ -40,15 +40,6 @@ _STATUS_CODE = {
 }
 
 
-def _gap_model(p: UREProblem, cfg: SolverConfig) -> GapModel:
-    if cfg.alpha is not None:
-        return GapModel(p, alpha=cfg.alpha)
-    if np.isinf(p.r):
-        # k/r has no meaning here; any positive weight gives a valid gap.
-        return GapModel(p, alpha=p.k)
-    return GapModel(p)
-
-
 def _fmt(x) -> str:
     return "" if x is None else format(float(x), ".17g")
 
@@ -108,7 +99,7 @@ def execute(
         elif rc.scheme == "explicit":
             trace = explicit_solve(p, cfg, u0)
         else:
-            trace = descent_solve(_gap_model(p, cfg), cfg, u0)
+            trace = descent_solve(GapModel(p, alpha=cfg.alpha), cfg, u0)
 
         final = trace.final_point
         summary: dict = {
@@ -118,7 +109,7 @@ def execute(
         }
         for key, merit in (
             ("final_residual", lambda: problem_residual(p, final, seed=cfg.seed)),
-            ("final_gap", lambda: gap_value(_gap_model(p, cfg), final, cfg)),
+            ("final_gap", lambda: gap_value(GapModel(p, alpha=cfg.alpha), final, cfg)),
         ):
             try:
                 summary[key] = merit()

@@ -176,6 +176,15 @@ def _read_pairs(path: str) -> dict[str, object]:
     return pairs
 
 
+def _set_field_problems(kind: str, names) -> list[str]:
+    """One message per field the set kind needs and names lacks, then one
+    per name the kind does not take."""
+    wanted = [f.name for f in fields(SET_KINDS[kind])]
+    return [f"set kind {kind} needs problem.set.{n}" for n in wanted if n not in names] + [
+        f"set kind {kind} does not take problem.set.{n}" for n in names if n not in wanted
+    ]
+
+
 def _validate(pairs: dict[str, object], problems: list[str]) -> None:
     for key in _REQUIRED:
         if key not in pairs:
@@ -206,15 +215,8 @@ def _validate(pairs: dict[str, object], problems: list[str]) -> None:
     if r is not None and not r > 0:
         problems.append(f"problem.r must be positive; got {r!r}")
     if skind in SET_KINDS:
-        wanted = [f.name for f in fields(SET_KINDS[skind])]
-        for name in wanted:
-            if f"problem.set.{name}" not in pairs:
-                problems.append(f"set kind {skind} needs problem.set.{name}")
-        for key in pairs:
-            if key.startswith("problem.set.") and key != "problem.set.kind":
-                name = key[len("problem.set.") :]
-                if name not in wanted:
-                    problems.append(f"set kind {skind} does not take problem.set.{name}")
+        given = [key[len("problem.set.") :] for key in pairs if key.startswith("problem.set.")]
+        problems.extend(_set_field_problems(skind, [name for name in given if name != "kind"]))
     for key, positive in (
         ("solver.gamma", False),
         ("solver.outer_tol", True),
@@ -288,8 +290,12 @@ def emit_config(rc: RunConfig) -> str:
 
 
 def build_set(rc: RunConfig) -> ConstraintSet:
-    cls = SET_KINDS[rc.set_kind]
-    return cls(**dict(rc.set_params))
+    """The set rc describes; a ValueError with parse_config's messages for wrong fields."""
+    params = dict(rc.set_params)
+    problems = _set_field_problems(rc.set_kind, params)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return SET_KINDS[rc.set_kind](**params)
 
 
 def build_bifunction(rc: RunConfig) -> Bifunction:

@@ -59,8 +59,8 @@ def quadratic_regularizer(alpha: float) -> Regularizer:
 class GapModel:
     """An equilibrium problem paired with the regularizer defining its gap.
 
-    alpha=None resolves to k/r. That needs finite r; pass alpha explicitly
-    for problems posed with r = inf.
+    alpha=None resolves to k/r, or to k for a problem posed with r = inf,
+    where k/r is no weight at all and any positive one gives a valid gap.
     """
 
     problem: UREProblem
@@ -71,11 +71,8 @@ class GapModel:
     def __post_init__(self):
         alpha = self.alpha
         if alpha is None:
-            if math.isinf(self.problem.r):
-                raise ValueError(
-                    "alpha has no default when r is infinite; pass it explicitly"
-                )
-            alpha = self.problem.k / self.problem.r
+            p = self.problem
+            alpha = p.k if math.isinf(p.r) else p.k / p.r
         if not alpha > 0:
             raise ValueError("alpha must be positive")
         object.__setattr__(self, "resolved_alpha", float(alpha))

@@ -70,9 +70,9 @@ class ConstraintSet:
 
     A kind is a frozen dataclass of ``Array`` and ``float`` fields, coerced
     here from their annotations: each vector through ``as_vector``, the first
-    one fixing the dimension of the rest, each scalar through ``float``. A
-    kind provides ``bounding_box``, ``_distance_batch``, ``_nearest`` and
-    ``_check`` (its own invariants), and a nonconvex kind its
+    one fixing the dimension of the rest, each scalar through ``float`` and a
+    finiteness check. A kind provides ``bounding_box``, ``_distance_batch``,
+    ``_nearest`` and ``_check`` (its own invariants), and a nonconvex kind its
     ``prox_constant``; everything else, ``dim`` included, is derived.
     ``member`` is the one check that a point lies in the set.
     """
@@ -89,6 +89,8 @@ class ConstraintSet:
                 dim = value.shape[0]
             else:
                 value = float(value)
+                if not math.isfinite(value):
+                    raise NonFiniteValue(f"{f.name} is NaN or infinite")
             object.__setattr__(self, f.name, value)
         self._check()
 

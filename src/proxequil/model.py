@@ -83,16 +83,20 @@ class Bifunction:
     def __call__(self, u: Array, v: Array) -> float:
         return float(self.eval(u, v))
 
-    def eval_rows(self, u: Array, V: Array) -> Array:
-        """F(u, v) for every row v of V, shape (n,): one product (V - u) @ T(u)
-        for a VI bifunction (T called only at u), else one call per row."""
-        if self.vi_operator is not None:
-            return (V - u) @ np.asarray(self.vi_operator(u), dtype=float)
-        return np.array([self(u, v) for v in V], dtype=float)
+    def eval_rows(self, U: Array, V: Array) -> Array:
+        """F(u, v) for every pair of U and the rows v of V, shape (n,), with U
+        one point or one per row as in grad_v_rows: (V - u) @ T(u) or the
+        row-wise <T(U), V - U> for a VI bifunction, else one call per pair."""
+        if self.vi_operator is None:
+            return np.array([self(u, v) for u, v in zip(np.broadcast_to(U, V.shape), V)], dtype=float)
+        if np.ndim(U) == 1:
+            return (V - U) @ np.asarray(self.vi_operator(U), dtype=float)
+        return np.einsum("ij,ij->i", V - U, self.grad_v_rows(U, V))
 
     def grad_v_rows(self, U: Array, V: Array) -> Array:
-        """grad_v F(u, v) for every row pair (u, v) of U and V, shape (n, d):
-        one call T(U) for a VI bifunction, else one grad_v call per pair."""
+        """grad_v F(u, v) for every pair of U (one point or one per row) and V,
+        shape (n, d): one call T(U) for a VI bifunction, else one per pair."""
+        U = np.broadcast_to(U, V.shape)
         if self.vi_operator is not None:
             G = np.asarray(self.vi_operator(U), dtype=float)
             if G.shape != U.shape:
@@ -160,7 +164,7 @@ class SolverConfig:
 
     lam=None asks each scheme to pick a step from a finite-difference
     Lipschitz estimate of the second-slot gradient; alpha=None lets the gap
-    machinery default the regularizer weight to k/r.
+    machinery default the regularizer weight to k/r (k when r = inf).
     """
 
     lam: float | None = None

@@ -18,7 +18,8 @@ in chunks with early abandoning: a row whose running minimum already fell
 below the best certified value so far can never become the argmax and is
 dropped from later blocks. Each row starts on a 128-point v-block and the
 blocks grow fourfold up to 4096 points, so most rows are dropped after a
-few hundred products instead of thousands.
+few hundred products instead of thousands. Any other bifunction is scored
+by one Bifunction.eval_rows call per 128-point v-block, abandoned the same way.
 """
 
 from __future__ import annotations
@@ -194,12 +195,13 @@ def grid_solve(p: UREProblem, gs: GridSpec) -> OracleResult:
             )
         m_best = -np.inf
         row = -1
-        for i in range(n):
-            u = V[i]
+        for i, u in enumerate(V):
             running = np.inf
-            for j in range(n):
-                d = V[j] - u
-                running = min(running, f(u, V[j]) + p.kappa * float(d @ d))
+            for start in range(0, n, 128):
+                B = V[start : start + 128]
+                D = B - u
+                vals = f.eval_rows(u, B) + p.kappa * np.einsum("ij,ij->i", D, D)
+                running = min(running, float(vals.min()))
                 if running < m_best:
                     break
             if running > m_best:
@@ -225,7 +227,8 @@ def check_pseudomonotone(
 ) -> PseudomonotoneReport:
     """Sampled implication check: whenever F(u,v) + kappa||v-u||^2 >= 0, the
     reverse value F(v,u) + kappa||v-u||^2 must not exceed 1e-10. The pairs
-    are drawn with seeds 0 and 1.
+    are drawn with seeds 0 and 1, and F is evaluated over all of them in the
+    two calls Bifunction.eval_rows(U, V) and eval_rows(V, U).
 
     Stores at most 25 counterexample pairs; an empty tuple means passed.
     """
@@ -235,12 +238,8 @@ def check_pseudomonotone(
         raise ValueError("kappa must be nonnegative")
     U = s.sample(n_pairs, 0)
     V = s.sample(n_pairs, 1)
-    found = []
-    n_bad = 0
-    for u, v in zip(U, V):
-        q = kappa * float((v - u) @ (v - u))
-        if f(u, v) + q >= 0.0 and f(v, u) + q > 1e-10:
-            n_bad += 1
-            if len(found) < 25:
-                found.append((u, v))
-    return PseudomonotoneReport(n_bad == 0, n_pairs, n_bad, tuple(found))
+    D = V - U
+    q = kappa * np.einsum("ij,ij->i", D, D)
+    bad = np.flatnonzero((f.eval_rows(U, V) + q >= 0.0) & (f.eval_rows(V, U) + q > 1e-10))
+    found = tuple((U[i], V[i]) for i in bad[:25])
+    return PseudomonotoneReport(bad.size == 0, n_pairs, int(bad.size), found)

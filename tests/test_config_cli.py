@@ -441,8 +441,22 @@ def test_execute_rejects_negative_seed(tmp_path, capsys):
         (dict(k=-1.0), "k must be positive"),
         (dict(set_params=(("center", (0.0, 0.0)), ("radius", -1.0))), "radius must be positive"),
         (dict(start=(0.0, -3.0)), "problem.start is not in the feasible set"),
+        (
+            dict(set_params=(("center", (0.0, 0.0)), ("inner_radius", 0.5), ("radius", 1.0))),
+            "set kind ball does not take problem.set.inner_radius",
+        ),
+        (dict(set_params=(("center", (0.0, 0.0)),)), "set kind ball needs problem.set.radius"),
+        (dict(set_params=(("center", (0.0, 0.0)), ("radius", math.nan))), "radius is NaN or infinite"),
     ],
-    ids=["start-dimension", "negative-k", "negative-radius", "start-outside"],
+    ids=[
+        "start-dimension",
+        "negative-k",
+        "negative-radius",
+        "start-outside",
+        "extra-field",
+        "missing-field",
+        "nan-radius",
+    ],
 )
 def test_execute_reports_build_errors(tmp_path, capsys, change, message):
     # A RunConfig made in Python skips parse_config; build_problem's own

@@ -48,9 +48,9 @@ def _zero_bifunction(dim):
 def test_alpha_resolution():
     assert GapModel(ball_pull()).resolved_alpha == pytest.approx(1.0)
     assert GapModel(ball_pull(), alpha=2.0).resolved_alpha == pytest.approx(2.0)
-    p = UREProblem(pull_bifunction([2.0, 0.0]), Ball(np.zeros(2), 1.0), k=1.0, r=math.inf)
-    with pytest.raises(ValueError):
-        GapModel(p)
+    # r = inf has no k/r; the weight defaults to k
+    p = UREProblem(pull_bifunction([2.0, 0.0]), Ball(np.zeros(2), 1.0), k=3.0, r=math.inf)
+    assert GapModel(p).resolved_alpha == 3.0
     assert GapModel(p, alpha=1.0).resolved_alpha == pytest.approx(1.0)
 
 

@@ -257,6 +257,39 @@ def test_set_fields_coerced_from_annotations(kind):
     for name in vectors:
         with pytest.raises(NonFiniteValue, match=f"^{name} contains NaN or infinity$"):
             cls(**{**args, name: [math.nan, 0]})
+    for name in [name for name in args if name not in vectors]:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(NonFiniteValue, match=f"^{name} is NaN or infinite$"):
+                cls(**{**args, name: bad})
+
+
+def _kind_in_dim(kind, d):
+    """An instance of the kind in dimension d."""
+    e, z = np.eye(d)[0], np.zeros(d)
+    return {
+        "box": lambda: Box(-np.ones(d), 2.0 * np.ones(d)),
+        "ball": lambda: Ball(0.5 * e, 1.5),
+        "halfspace": lambda: Halfspace(np.arange(1.0, d + 1.0), 0.5, -2.0 * np.ones(d), 2.0 * np.ones(d)),
+        "sphere": lambda: Sphere(z, 1.5),
+        "annulus": lambda: Annulus(z, 1.0, 2.0),
+        "box_minus_ball": lambda: BoxMinusBall(-2.0 * np.ones(d), 2.0 * np.ones(d), 0.3 * e, 1.0),
+        "two_ball_union": lambda: TwoBallUnion(-2.0 * e, 1.0, 2.0 * e, 0.8),
+    }[kind]()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", sorted(SET_KINDS))
+def test_project_is_globally_nearest(kind, d):
+    """No point of 4 * 10^4 sampled from the set is nearer to x than P(x),
+    which lies in the set; x ranges over an inflated bounding box."""
+    s = _kind_in_dim(kind, d)
+    S = s.sample(40000, seed=1)
+    X = _random_points(s, 30, seed=2)
+    P = np.array([s.project(x) for x in X])
+    assert s.contains_batch(P).all()
+    nearest_sample = np.sqrt(((X[:, None, :] - S[None, :, :]) ** 2).sum(axis=2)).min(axis=1)
+    excess = np.linalg.norm(X - P, axis=1) - nearest_sample
+    assert np.all(excess <= 1e-12 * (1.0 + np.linalg.norm(X, axis=1)))
 
 
 def test_only_geometry_raises_point_not_in_set():

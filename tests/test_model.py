@@ -48,8 +48,8 @@ def test_vi_bifunction_without_jacobian_has_no_grad_u():
     assert f.grad_u is None
 
 
-def _rows_reference(f, u, V):
-    return np.array([f(u, v) for v in V])
+def _rows_reference(f, U, V):
+    return np.array([f(u, v) for u, v in zip(np.broadcast_to(U, V.shape), V)])
 
 
 def test_eval_rows_calls_vi_operator_only_at_u():
@@ -69,16 +69,21 @@ def test_eval_rows_calls_vi_operator_only_at_u():
     np.testing.assert_allclose(rows, _rows_reference(f, u, V), rtol=0, atol=1e-14)
 
 
-@pytest.mark.parametrize("kind", ["affine_vi", "zero"])
-def test_eval_rows_matches_calls_for_config_kinds(kind):
+# U as one point and as one point per row of V
+@pytest.mark.parametrize(
+    "kind, pairs",
+    [("affine_vi", False), ("zero", False), ("affine_vi", True), ("zero", True)],
+    ids=["affine_vi", "zero", "affine_vi-pairs", "zero-pairs"],
+)
+def test_eval_rows_matches_calls_for_config_kinds(kind, pairs):
     rc = parse_config(str(CONFIG_DIR / "ball_proximal.cfg"))
     rc = replace(rc, bifunction_kind=kind, matrix=((1.0, 0.5), (-0.5, 2.0)), offset=(-2.0, 0.3))
     f = config.build_bifunction(rc)
-    u = np.array([0.1, -0.2])
+    U = Ball(np.zeros(2), 1.0).sample(200, seed=9) if pairs else np.array([0.1, -0.2])
     V = Ball(np.zeros(2), 1.0).sample(200, seed=8)
-    rows = f.eval_rows(u, V)
+    rows = f.eval_rows(U, V)
     assert rows.shape == (200,)
-    np.testing.assert_allclose(rows, _rows_reference(f, u, V), rtol=0, atol=1e-14)
+    np.testing.assert_allclose(rows, _rows_reference(f, U, V), rtol=0, atol=1e-14)
     if kind == "zero":
         assert not rows.any()
 
@@ -91,18 +96,19 @@ def test_eval_rows_loops_over_a_plain_bifunction():
         return float(v @ v - u @ u)
 
     f = Bifunction(eval=value, grad_v=lambda u, v: 2.0 * v)
-    u = np.array([0.5, 0.0])
     V = Ball(np.zeros(2), 1.0).sample(30, seed=2)
-    rows = f.eval_rows(u, V)
-    assert len(calls) == 30
-    np.testing.assert_array_equal(rows, _rows_reference(f, u, V))
+    for U in (np.array([0.5, 0.0]), Ball(np.zeros(2), 1.0).sample(30, seed=3)):
+        calls.clear()
+        rows = f.eval_rows(U, V)
+        assert len(calls) == 30
+        np.testing.assert_array_equal(rows, _rows_reference(f, U, V))
 
 
 def test_eval_rows_of_no_rows_is_empty():
-    u = np.zeros(2)
     quad = Bifunction(eval=lambda u, v: float(v @ v), grad_v=lambda u, v: 2.0 * v)
     for f in (pull_bifunction([2.0, 0.0]), quad):
-        assert f.eval_rows(u, np.empty((0, 2))).shape == (0,)
+        for U in (np.zeros(2), np.empty((0, 2))):
+            assert f.eval_rows(U, np.empty((0, 2))).shape == (0,)
 
 
 @pytest.mark.parametrize("kind", ["affine_vi", "zero"])
@@ -115,6 +121,7 @@ def test_grad_v_rows_matches_calls_for_config_kinds(kind):
     rows = f.grad_v_rows(U, V)
     assert rows.shape == (200, 2)
     np.testing.assert_allclose(rows, [f.grad_v(u, v) for u, v in zip(U, V)], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(f.grad_v_rows(U[0], V), [f.grad_v(U[0], v) for v in V], rtol=0, atol=1e-14)
     if kind == "zero":
         assert not rows.any()
 
@@ -132,6 +139,7 @@ def test_grad_v_rows_loops_over_a_plain_bifunction():
     rows = f.grad_v_rows(U, V)
     assert len(calls) == 30
     np.testing.assert_array_equal(rows, 2.0 * V - U)
+    np.testing.assert_array_equal(f.grad_v_rows(U[0], V), 2.0 * V - U[0])
     assert f.grad_v_rows(np.empty((0, 2)), np.empty((0, 2))).shape == (0, 2)
 
 
@@ -140,6 +148,9 @@ def test_grad_v_rows_rejects_an_operator_that_ignores_rows():
     U = Ball(np.zeros(2), 1.0).sample(5, seed=1)
     with pytest.raises(DimensionMismatch):
         f.grad_v_rows(U, U)
+    # the pair form of eval_rows goes through the same check
+    with pytest.raises(DimensionMismatch, match="it must act row by row"):
+        f.eval_rows(U, U)
 
 
 def test_bifunction_without_grad_v_is_rejected():

@@ -290,6 +290,43 @@ def test_pseudomonotone_sign_flip_fails():
     assert u.shape == (2,) and v.shape == (2,)
 
 
+def _pseudomonotone_reference(f, s, kappa, n_pairs):
+    """check_pseudomonotone's count and counterexamples, one pair at a time."""
+    found, n_bad = [], 0
+    for u, v in zip(s.sample(n_pairs, 0), s.sample(n_pairs, 1)):
+        q = kappa * float((v - u) @ (v - u))
+        if f(u, v) + q >= 0.0 and f(v, u) + q > 1e-10:
+            n_bad += 1
+            if len(found) < 25:
+                found.append((u, v))
+    return n_bad, found
+
+
+_ROTATE = np.array([[0.3, -1.0], [1.0, 0.2]])
+
+
+@pytest.mark.parametrize(
+    "f, s",
+    [
+        (make_vi_bifunction(lambda u: u @ _ROTATE.T - np.array([0.5, 0.1])), Annulus(np.zeros(2), 1.0, 2.0)),
+        (
+            Bifunction(eval=lambda u, v: float((_ROTATE @ u) @ (v - u)), grad_v=lambda u, v: _ROTATE @ u),
+            TwoBallUnion(np.array([-2.0, 0.0]), 1.0, np.array([2.0, 0.0]), 1.0),
+        ),
+    ],
+    ids=["vi-annulus", "plain-two-ball-union"],
+)
+def test_pseudomonotone_matches_pairwise_reference(f, s):
+    """The two batch evaluations give the per-pair loop's verdict exactly:
+    the same count and the same 25 counterexample pairs, bit for bit."""
+    rep = check_pseudomonotone(f, s, 0.3, n_pairs=4000)
+    n_bad, found = _pseudomonotone_reference(f, s, 0.3, 4000)
+    assert not rep.passed and rep.n_counterexamples == n_bad > 25
+    assert len(rep.counterexamples) == len(found) == 25
+    for (u, v), (u_ref, v_ref) in zip(rep.counterexamples, found):
+        assert u.tobytes() == u_ref.tobytes() and v.tobytes() == v_ref.tobytes()
+
+
 def test_finite_diff_quadratic():
     u = np.array([0.5, -0.25])
     grad = finite_diff_gradient(lambda x: 0.5 * float(x @ x), u)
