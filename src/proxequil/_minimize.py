@@ -25,7 +25,9 @@ def projected_descent(
 
     Backtracking on the projected-gradient step: from the current point w the
     candidate is P(w - t g); the step is accepted under a quadratic sufficient
-    decrease model and t is halved otherwise. Returns (point, value,
+    decrease model and t is halved otherwise. An accepted step grows t by 1.6
+    only if it strictly decreases the value and halves it otherwise, so steps
+    near an interior minimizer shrink below inner_tol. Returns (point, value,
     converged) where converged means the projected step length fell below
     inner_tol before the iteration budget ran out.
     """
@@ -44,8 +46,8 @@ def projected_descent(
                 return cand, float(value(cand)), True
             fc = float(value(cand))
             if fc <= fw + float(g @ step) + 0.5 * sq / t + 1e-14 * (1.0 + abs(fw)):
+                t = min(t * 1.6, 1e8) if fc < fw else t * 0.5
                 w, fw = cand, fc
-                t = min(t * 1.6, 1e8)
                 moved = True
                 break
             t *= 0.5

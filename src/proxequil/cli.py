@@ -90,16 +90,15 @@ def execute(
             cfg = replace(cfg, seed=seed)
         if rc.scheme != "descent":  # one resolved lambda for the solve and --verify
             cfg = replace(cfg, lam=_resolve_lam(p, cfg))
-        u0 = np.array(rc.start, dtype=float)
-
-        if rc.scheme == "proximal":
-            trace = proximal_solve(p, cfg, u0)
-        elif rc.scheme == "inertial":
-            trace = inertial_proximal_solve(p, cfg, u0)
-        elif rc.scheme == "explicit":
-            trace = explicit_solve(p, cfg, u0)
-        else:
-            trace = descent_solve(GapModel(p, alpha=cfg.alpha), cfg, u0)
+        # one solver per name in config.SCHEMES, which build_problem enforces;
+        # looked up per call, so a solver rebound on this module is the one run
+        solvers = {
+            "proximal": proximal_solve,
+            "inertial": inertial_proximal_solve,
+            "explicit": explicit_solve,
+            "descent": lambda p, cfg, u0: descent_solve(GapModel(p, alpha=cfg.alpha), cfg, u0),
+        }
+        trace = solvers[rc.scheme](p, cfg, np.array(rc.start, dtype=float))
 
         final = trace.final_point
         summary: dict = {

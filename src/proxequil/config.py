@@ -176,9 +176,16 @@ def _read_pairs(path: str) -> dict[str, object]:
     return pairs
 
 
+def _one_of(key: str, value, allowed) -> list[str]:
+    """The message for a value of key that is not in allowed, if it is not."""
+    return [] if value in allowed else [f"{key} must be one of {', '.join(allowed)}; got {value!r}"]
+
+
 def _set_field_problems(kind: str, names) -> list[str]:
-    """One message per field the set kind needs and names lacks, then one
-    per name the kind does not take."""
+    """One message for a kind that is not in SET_KINDS; else one per field
+    the set kind needs and names lacks, then one per name it does not take."""
+    if kind not in SET_KINDS:
+        return _one_of("problem.set.kind", kind, sorted(SET_KINDS))
     wanted = [f.name for f in fields(SET_KINDS[kind])]
     return [f"set kind {kind} needs problem.set.{n}" for n in wanted if n not in names] + [
         f"set kind {kind} does not take problem.set.{n}" for n in names if n not in wanted
@@ -190,31 +197,25 @@ def _validate(pairs: dict[str, object], problems: list[str]) -> None:
         if key not in pairs:
             problems.append(f"missing required key {key}")
     scheme = pairs.get("scheme")
-    if scheme is not None and scheme not in SCHEMES:
-        problems.append(f"scheme must be one of {', '.join(SCHEMES)}; got {scheme!r}")
+    if scheme is not None:
+        problems.extend(_one_of("scheme", scheme, SCHEMES))
     bkind = pairs.get("problem.bifunction.kind")
-    if bkind is not None and bkind not in BIFUNCTION_KINDS:
-        problems.append(
-            f"problem.bifunction.kind must be one of {', '.join(BIFUNCTION_KINDS)}; got {bkind!r}"
-        )
+    if bkind is not None:
+        problems.extend(_one_of("problem.bifunction.kind", bkind, BIFUNCTION_KINDS))
     if bkind == "affine_vi" and "problem.bifunction.matrix" not in pairs:
         problems.append("affine_vi needs problem.bifunction.matrix")
     if bkind == "zero":
         for key in ("problem.bifunction.matrix", "problem.bifunction.offset"):
             if key in pairs:
                 problems.append(f"bifunction kind zero does not take {key}")
-    skind = pairs.get("problem.set.kind")
-    if skind is not None and skind not in SET_KINDS:
-        problems.append(
-            f"problem.set.kind must be one of {', '.join(sorted(SET_KINDS))}; got {skind!r}"
-        )
     k = pairs.get("problem.k")
     if k is not None and not k > 0:
         problems.append(f"problem.k must be positive; got {k!r}")
     r = pairs.get("problem.r")
     if r is not None and not r > 0:
         problems.append(f"problem.r must be positive; got {r!r}")
-    if skind in SET_KINDS:
+    skind = pairs.get("problem.set.kind")
+    if skind is not None:
         given = [key[len("problem.set.") :] for key in pairs if key.startswith("problem.set.")]
         problems.extend(_set_field_problems(skind, [name for name in given if name != "kind"]))
     for key, positive in (
@@ -290,7 +291,8 @@ def emit_config(rc: RunConfig) -> str:
 
 
 def build_set(rc: RunConfig) -> ConstraintSet:
-    """The set rc describes; a ValueError with parse_config's messages for wrong fields."""
+    """The set rc describes; a ValueError with parse_config's messages for an
+    unknown kind or wrong fields."""
     params = dict(rc.set_params)
     problems = _set_field_problems(rc.set_kind, params)
     if problems:
@@ -323,8 +325,11 @@ def build_bifunction(rc: RunConfig) -> Bifunction:
 
 def build_problem(rc: RunConfig) -> UREProblem:
     """The problem rc describes; a ValueError of its own or of a constructor
-    it calls is reported as a ValidationError."""
+    it calls is reported as a ValidationError. It also rejects a scheme not
+    in SCHEMES, so that a RunConfig made in Python names a solver."""
     try:
+        if rc.scheme not in SCHEMES:
+            raise ValueError(_one_of("scheme", rc.scheme, SCHEMES)[0])
         s = build_set(rc)
         if len(rc.start) != s.dim:
             raise ValueError(f"problem.start has dimension {len(rc.start)}, the set expects {s.dim}")

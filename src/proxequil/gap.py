@@ -9,8 +9,11 @@ gap at a feasible u is
 which is nonnegative because v = u is admissible and scores zero, and is zero
 exactly at problem solutions when alpha = k/r (the inner objective is then
 F(u, v) + kappa ||v - u||^2, the left side of the defining inequality, so the
-gap coincides with problem_residual wherever the residual is positive). The
-descent method follows d = w - u with an exact line search on [0, 1].
+gap coincides with problem_residual wherever the residual is positive). For
+a VI bifunction F(u, v) = <T(u), v - u> and the default regularizer, w is the
+nearest point P(u - T(u) / alpha): Fukushima's regularized gap, exact on
+nonconvex sets too. The descent method follows d = w - u with an exact line
+search on [0, 1], projecting every probe and iterate onto the set.
 """
 
 from __future__ import annotations
@@ -61,12 +64,15 @@ class GapModel:
 
     alpha=None resolves to k/r, or to k for a problem posed with r = inf,
     where k/r is no weight at all and any positive one gives a valid gap.
+    quad is the weight c of the regularizer c ||y - x||^2 the model built
+    itself (alpha / 2), which allows the closed-form best response, else 0.
     """
 
     problem: UREProblem
     alpha: float | None = None
     regularizer: Regularizer | None = None
     resolved_alpha: float = field(init=False)
+    quad: float = field(init=False, default=0.0)
 
     def __post_init__(self):
         alpha = self.alpha
@@ -78,22 +84,25 @@ class GapModel:
         object.__setattr__(self, "resolved_alpha", float(alpha))
         if self.regularizer is None:
             object.__setattr__(self, "regularizer", quadratic_regularizer(float(alpha)))
+            object.__setattr__(self, "quad", 0.5 * float(alpha))
         if not self.problem.bifunction.diagonal_zero:
             raise ValueError("gap construction requires F(u, u) = 0")
 
 
 def _w_and_gap(g: GapModel, u: Array, cfg: SolverConfig) -> tuple[Array, float]:
     G = g.regularizer
-    w, fw = _best_response(g.problem, u, G.value, G.grad_y, cfg.seed, cfg.inner_tol, cfg.max_inner)
+    w, fw = _best_response(g.problem, u, G.value, G.grad_y, cfg.seed, cfg.inner_tol, cfg.max_inner, g.quad)
     return w, -fw + 0.0
 
 
 def w_map(g: GapModel, u, cfg: SolverConfig) -> Array:
     """Best response: the minimizer over the set of F(u, .) + G(u, .).
 
-    Projected gradient descent from u plus 8 seeded feasible starts, keeping
-    the best converged result. Starting at u itself guarantees the minimum
-    value never exceeds zero, which is what makes the gap nonnegative.
+    For a VI bifunction with the model's own quadratic regularizer this is
+    the nearest point P(u - T(u) / alpha), exact and global. Otherwise it
+    is projected gradient descent from u plus 8 seeded feasible starts,
+    keeping the best converged result. Either way v = u is beaten or
+    matched, so the minimum never exceeds zero and the gap is nonnegative.
     """
     return _w_and_gap(g, g.problem.feasible_set.member(u, "u"), cfg)[0]
 
@@ -167,7 +176,7 @@ def line_search(g: GapModel, u, d, cfg: SolverConfig) -> float:
 
     Coarse 17-point scan to bracket the best region, golden-section refinement
     to width cfg.line_search_tol, then a final comparison that always includes
-    the exact endpoints 0 and 1. Probes leaving the set are projected back
+    the exact endpoints 0 and 1. Every probe is projected onto the set
     before evaluation. d = 0 returns 0 by convention.
     """
     u = as_vector(u, g.problem.dim, "u")
@@ -179,10 +188,7 @@ def line_search(g: GapModel, u, d, cfg: SolverConfig) -> float:
 
     def phi(t: float) -> float:
         if t not in cache:
-            x = u + t * d
-            if not s.contains(x):
-                x = s.project(x)
-            cache[t] = gap_value(g, x, cfg)
+            cache[t] = gap_value(g, s.project(u + t * d), cfg)
         return cache[t]
 
     ts = [i / 16.0 for i in range(17)]
@@ -218,8 +224,8 @@ def descent_solve(g: GapModel, cfg: SolverConfig, u0) -> Trace:
     Each record carries the gap value in extras["gap"], the step factor
     chosen at that iterate in extras["t"] (absent on the final record), and
     the direction norm ||w(u_n) - u_n|| as its residual. Stops when either
-    the direction norm or the step norm falls below cfg.outer_tol. An
-    accepted point outside the set is projected back onto it.
+    the direction norm or the step norm falls below cfg.outer_tol. The
+    accepted point is projected onto the set, so every iterate lies in it.
     """
     s = g.problem.feasible_set
     u0 = s.member(u0, "u0")
@@ -235,8 +241,7 @@ def descent_solve(g: GapModel, cfg: SolverConfig, u0) -> Trace:
     def advance(n: int, u: Array, u_prev: Array) -> Array:
         t = line_search(g, u, d, cfg)
         extras["t"] = t
-        x = u + t * d
-        return x if s.contains(x) else s.project(x)
+        return s.project(u + t * d)
 
     return _iterate(cfg, u0, measure, advance)
 

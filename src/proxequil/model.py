@@ -196,16 +196,24 @@ class SolverConfig:
 def _best_response(
     problem: UREProblem, u: Array, reg_value: Callable[[Array, Array], float],
     reg_grad: Callable[[Array, Array], Array], seed: int, inner_tol: float, max_inner: int,
+    quad: float = 0.0,
 ) -> tuple[Array, float]:
     """The minimizer w and minimum m over the set of v -> F(u, v) + reg(u, v).
 
     Shared by the residual (reg = kappa ||v - u||^2) and the gap (reg = G).
-    Projected gradient descent from u itself and 8 starts sampled with seed
-    (drawn once per set and seed), keeping the best converged result;
+    quad > 0 says reg is quad ||v - u||^2; for a VI bifunction the minimizer
+    is then the nearest point P(u - T(u) / (2 quad)), exact and global on
+    every set kind because project returns a global nearest point (the
+    regularized gap of Fukushima, Math. Programming 53, 1992). Otherwise
+    projected gradient descent runs from u itself and 8 starts sampled with
+    seed (drawn once per set and seed), keeping the best converged result;
     starting at u keeps m <= reg(u, u).
     """
     f = problem.bifunction
     s = problem.feasible_set
+    if f.vi_operator is not None and quad > 0:
+        w = s.project(u - np.asarray(f.vi_operator(u), dtype=float) / (2.0 * quad))
+        return w, f(u, w) + reg_value(u, w)
 
     def value(v: Array) -> float:
         return f(u, v) + reg_value(u, v)
@@ -221,9 +229,11 @@ def problem_residual(problem: UREProblem, u, *, seed: int = 0) -> float:
     """Worst violation of the defining inequality at u.
 
     Minimizes v -> F(u, v) + kappa ||v - u||^2 over the set with
-    ``_best_response`` (at most 600 sweeps per start, to a step of 1e-11)
-    and returns max(0, -minimum). Zero means no start found a violating
-    direction, so u solves the problem to the solver's resolution.
+    ``_best_response`` and returns max(0, -minimum). For a VI bifunction
+    with kappa > 0 the minimum is exact; otherwise it is the best of the
+    multistart descent (at most 600 sweeps per start, to a step of 1e-11),
+    and zero means no start found a violating direction, so u solves the
+    problem to the solver's resolution.
     """
     u = problem.feasible_set.member(u, "u")
     kap = problem.kappa
@@ -234,7 +244,7 @@ def problem_residual(problem: UREProblem, u, *, seed: int = 0) -> float:
     def reg_grad(u: Array, v: Array) -> Array:
         return 2.0 * kap * (v - u)
 
-    _, m = _best_response(problem, u, reg_value, reg_grad, seed, 1e-11, 600)
+    _, m = _best_response(problem, u, reg_value, reg_grad, seed, 1e-11, 600, quad=kap)
     if not math.isfinite(m):
         raise NonFiniteValue("inner minimum is not finite")
     return max(0.0, -m)

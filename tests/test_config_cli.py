@@ -306,18 +306,29 @@ def test_cli_solve_input_error_exits_1(tmp_path, capsys):
 
 
 def test_cli_reports_uncomputed_merits(tmp_path, capsys):
-    # A fixed lambda solves without sampling; the residual and the gap then
-    # sample their starts, run out of draws and are written as null.
+    # A fixed lambda solves without sampling. With r = 1 both merits are
+    # closed-form nearest points, exact at the solution (1, 0, ..., 0); with
+    # r = inf, kappa = 0, so the residual samples its starts, runs out of
+    # draws and is written as null, while the gap keeps its closed form.
     out = tmp_path / "out"
     code = main(["run", _write(tmp_path, _ball12("0.5")), "--out", str(out)])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "converged"
-    assert summary["final_residual"] is None and summary["final_gap"] is None
+    assert summary["final_residual"] == summary["final_gap"] == 0.0
+    assert capsys.readouterr().err == ""
+
+    convex = _ball12("0.5").replace("problem.r = 1.0", "problem.r = inf")
+    out = tmp_path / "out-inf"
+    code = main(["run", _write(tmp_path, convex), "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "converged"
+    assert summary["final_residual"] is None and summary["final_gap"] == 0.0
     err = capsys.readouterr().err
-    assert "proxequil: final_residual not computed: ball: " in err
-    assert "proxequil: final_gap not computed: ball: " in err
-    assert err.count("of 8 points after 18000 draws") == 2
+    assert err.startswith("proxequil: final_residual not computed: ball: ")
+    assert err.count("of 8 points after 18000 draws") == 1
+    assert "final_gap" not in err
 
 
 def test_cli_exit_oracle_disagreement(tmp_path):
@@ -447,6 +458,12 @@ def test_execute_rejects_negative_seed(tmp_path, capsys):
         ),
         (dict(set_params=(("center", (0.0, 0.0)),)), "set kind ball needs problem.set.radius"),
         (dict(set_params=(("center", (0.0, 0.0)), ("radius", math.nan))), "radius is NaN or infinite"),
+        (
+            dict(set_kind="blob"),
+            "problem.set.kind must be one of annulus, ball, box, box_minus_ball, halfspace, sphere, "
+            "two_ball_union; got 'blob'",
+        ),
+        (dict(scheme="blob"), "scheme must be one of proximal, inertial, explicit, descent; got 'blob'"),
     ],
     ids=[
         "start-dimension",
@@ -456,6 +473,8 @@ def test_execute_rejects_negative_seed(tmp_path, capsys):
         "extra-field",
         "missing-field",
         "nan-radius",
+        "unknown-set-kind",
+        "unknown-scheme",
     ],
 )
 def test_execute_reports_build_errors(tmp_path, capsys, change, message):

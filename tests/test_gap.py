@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from proxequil import (
+    SET_KINDS,
+    Annulus,
     Ball,
     Bifunction,
+    BoxMinusBall,
     GapModel,
     MissingGradient,
     Regularizer,
@@ -23,7 +26,9 @@ from proxequil import (
     gap_value,
     line_search,
     make_vi_bifunction,
+    model,
     problem_residual,
+    quadratic_regularizer,
     w_map,
 )
 from problems import (
@@ -33,6 +38,7 @@ from problems import (
     pull_bifunction,
     two_ball_trap,
 )
+from test_geometry import _kind_in_dim
 
 CFG = SolverConfig(lam=0.5)
 
@@ -233,6 +239,107 @@ def test_descent_stops_at_the_iteration_budget():
     assert trace.iterations == 2
     assert all("t" in r.extras for r in trace.records[:-1])
     assert "t" not in trace.records[-1].extras
+
+
+def _affine(A, b):
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    return make_vi_bifunction(lambda u: np.asarray(u) @ A.T + b, lambda u: A)
+
+
+# Two benchmark descent instances whose accepted points, kept unprojected
+# while they passed the tolerant membership test, ended about 2e-9 outside
+# the set with gaps near -1e-9.
+_OUTSIDE_BEFORE = {
+    "box_minus_ball": (
+        _affine([[1.0, 0.013924], [-0.013924, 1.0]], [0.142694, 0.795373]),
+        BoxMinusBall([-2.565154, -2.421544], [1.68744, 1.831051], [-0.438857, -0.295246], 1.119674),
+        [-0.426065, -1.737432],
+    ),
+    "annulus": (
+        _affine(
+            [[1.0, -0.072245, -0.028549], [0.072245, 1.0, -0.012323], [0.028549, 0.012323, 1.0]],
+            [0.422574, 0.260265, -0.157062],
+        ),
+        Annulus([-0.35469, -0.367461, -0.26814], 1.046474, 1.907744),
+        [-0.365796, -0.67858, 1.199743],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_OUTSIDE_BEFORE))
+def test_descent_iterates_stay_in_the_set(kind):
+    f, s, u0 = _OUTSIDE_BEFORE[kind]
+    g = GapModel(UREProblem(f, s, k=1.0, r=1.0))
+    trace = descent_solve(g, SolverConfig(), np.array(u0))
+    assert trace.status is Status.CONVERGED
+    for rec in trace.records:
+        assert s.distance(rec.point) <= 1e-15
+        assert rec.extras["gap"] >= -1e-15
+    assert gap_value(g, trace.final_point, SolverConfig()) >= -1e-15
+
+
+def _plain_pull():
+    """T(u) = u - (2, 0) as a plain Bifunction, with no vi_operator."""
+    T = lambda u: u - np.array([2.0, 0.0])
+    return T, Bifunction(eval=lambda u, v: float(T(u) @ (v - u)), grad_v=lambda u, v: T(u))
+
+
+@pytest.mark.parametrize("u", [(0.0, 0.0), (0.5, 0.0), (-0.5, 0.5), (0.3, -0.6), (0.9, 0.1), (1.0, 0.0)])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
+def test_generic_best_response_reaches_the_closed_form(alpha, u):
+    """A plain Bifunction for T(u) = u - (2, 0) runs the multistart descent,
+    whose strongly convex inner problem may have an interior minimizer; it
+    must still converge to the nearest-point answer P(u - T(u) / alpha)."""
+    T, f = _plain_pull()
+    s = Ball(np.zeros(2), 1.0)
+    g = GapModel(UREProblem(f, s, k=1.0, r=math.inf), alpha=alpha)
+    u = np.array(u)
+    w = s.project(u - T(u) / alpha)
+    exact = -(T(u) @ (w - u) + 0.5 * alpha * (w - u) @ (w - u))
+    assert abs(gap_value(g, u, SolverConfig()) - exact) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", sorted(SET_KINDS))
+def test_closed_form_best_response_is_the_global_minimum(kind, d):
+    """The nearest-point best response of a VI bifunction scores no worse
+    than the multistart descent, which an equal custom regularizer forces,
+    and agrees with it on the convex kinds; the residual at alpha = 2 kappa
+    is the positive part of the same gap."""
+    s = _kind_in_dim(kind, d)
+    rng = np.random.default_rng(d)
+    skew = rng.standard_normal((d, d))
+    f = _affine(np.eye(d) + 0.1 * (skew - skew.T), rng.uniform(-2.0, 2.0, d))
+    p = UREProblem(f, s, k=1.0, r=min(1.0, s.prox_constant))
+    alpha = 2.0 * p.kappa
+    closed = GapModel(p, alpha=alpha)
+    generic = GapModel(p, alpha=alpha, regularizer=quadratic_regularizer(alpha))
+    for u in s.sample(6, seed=3):
+        m_closed = -gap_value(closed, u, CFG)
+        m_multi = -gap_value(generic, u, CFG)
+        assert m_closed <= m_multi + 1e-12
+        if math.isinf(s.prox_constant):
+            assert abs(m_closed - m_multi) <= 1e-9
+        assert problem_residual(p, u) == max(0.0, -m_closed)
+
+
+def test_generic_paths_still_reach_multistart(monkeypatch):
+    calls = []
+    multistart = model.multistart_minimize
+    monkeypatch.setattr(model, "multistart_minimize", lambda *a: calls.append(1) or multistart(*a))
+    p = ball_pull()
+    u = np.array([0.0, -1.0])
+    gap_value(GapModel(p), u, CFG)
+    problem_residual(p, u)
+    assert calls == []
+    gap_value(GapModel(p, regularizer=quadratic_regularizer(1.0)), u, CFG)
+    assert len(calls) == 1
+    problem_residual(replace(p, r=math.inf), u)
+    assert len(calls) == 2
+    plain = replace(p, bifunction=_plain_pull()[1])
+    gap_value(GapModel(plain), u, CFG)
+    problem_residual(plain, u)
+    assert len(calls) == 4
 
 
 def test_regularizer_axioms_quadratic():
