@@ -326,10 +326,13 @@ def build_bifunction(rc: RunConfig) -> Bifunction:
 def build_problem(rc: RunConfig) -> UREProblem:
     """The problem rc describes; a ValueError of its own or of a constructor
     it calls is reported as a ValidationError. It also rejects a scheme not
-    in SCHEMES, so that a RunConfig made in Python names a solver."""
+    in SCHEMES, so that a RunConfig made in Python names a solver, and an
+    oracle resolution below 2, as parse_config does."""
     try:
         if rc.scheme not in SCHEMES:
             raise ValueError(_one_of("scheme", rc.scheme, SCHEMES)[0])
+        if rc.oracle_resolution < 2:
+            raise ValueError(f"oracle.resolution is too small; got {rc.oracle_resolution!r}")
         s = build_set(rc)
         if len(rc.start) != s.dim:
             raise ValueError(f"problem.start has dimension {len(rc.start)}, the set expects {s.dim}")

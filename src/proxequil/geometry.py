@@ -123,11 +123,9 @@ class ConstraintSet:
         x = as_vector(x, self.dim)
         return float(self._distance_batch(x[None, :])[0])
 
-    def contains(self, x, tol: float | None = None) -> bool:
+    def contains(self, x) -> bool:
         x = as_vector(x, self.dim)
-        if tol is None:
-            tol = MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(x)))
-        return bool(self._distance_batch(x[None, :])[0] <= tol)
+        return bool(self._distance_batch(x[None, :])[0] <= MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(x))))
 
     def member(self, x, name: str = "x") -> Array:
         """The validated x; PointNotInSet naming it when x is not in the set."""

@@ -9,7 +9,8 @@ where kappa = k / (2 r) couples the modulus k of the bifunction to the
 prox-regularity constant r of the set (kappa = 0 when the set is convex,
 r = inf). ``problem_residual`` measures how far a point is from satisfying
 this: it is max(0, -m(u)) where m(u) is the minimum over v of the left-hand
-side, found by ``_best_response``, the best response the gap also uses.
+side. ``_best_response`` finds it; it minimizes F(u, v) + c ||v - u||^2 for
+one weight c, kappa here and alpha / 2 for the gap.
 """
 
 from __future__ import annotations
@@ -65,16 +66,15 @@ class Bifunction:
     grad_v is the gradient in the second slot; it drives every scheme and
     every best response, so it is required and checked once, here. grad_u,
     in the first slot, is only needed by the gap gradient and the necessary
-    condition check and may be omitted. diagonal_zero records that
-    F(u, u) = 0, which the gap construction requires. eval_rows and
-    grad_v_rows are the batch forms of F and grad_v over rows.
+    condition check and may be omitted. F(u, u) = 0 is required: the
+    residual and the gap rest on it. eval_rows and grad_v_rows are the batch
+    forms of F and grad_v over rows.
     """
 
     eval: Callable[[Array, Array], float]
     grad_v: Callable[[Array, Array], Array]
     grad_u: Callable[[Array, Array], Array] | None = None
     vi_operator: Callable[[Array], Array] | None = None
-    diagonal_zero: bool = True
 
     def __post_init__(self):
         if self.grad_v is None:
@@ -164,7 +164,7 @@ class SolverConfig:
 
     lam=None asks each scheme to pick a step from a finite-difference
     Lipschitz estimate of the second-slot gradient; alpha=None lets the gap
-    machinery default the regularizer weight to k/r (k when r = inf).
+    machinery default the gap weight to k/r (k when r = inf).
     """
 
     lam: float | None = None
@@ -194,32 +194,30 @@ class SolverConfig:
 
 
 def _best_response(
-    problem: UREProblem, u: Array, reg_value: Callable[[Array, Array], float],
-    reg_grad: Callable[[Array, Array], Array], seed: int, inner_tol: float, max_inner: int,
-    quad: float = 0.0,
+    problem: UREProblem, u: Array, c: float, seed: int, inner_tol: float, max_inner: int
 ) -> tuple[Array, float]:
-    """The minimizer w and minimum m over the set of v -> F(u, v) + reg(u, v).
+    """The minimizer w and minimum m over the set of v -> F(u, v) + c ||v - u||^2.
 
-    Shared by the residual (reg = kappa ||v - u||^2) and the gap (reg = G).
-    quad > 0 says reg is quad ||v - u||^2; for a VI bifunction the minimizer
-    is then the nearest point P(u - T(u) / (2 quad)), exact and global on
-    every set kind because project returns a global nearest point (the
-    regularized gap of Fukushima, Math. Programming 53, 1992). Otherwise
-    projected gradient descent runs from u itself and 8 starts sampled with
-    seed (drawn once per set and seed), keeping the best converged result;
-    starting at u keeps m <= reg(u, u).
+    Shared by the residual (c = kappa) and the gap (c = alpha / 2). For a VI
+    bifunction and c > 0 the minimizer is the nearest point
+    P(u - T(u) / (2 c)), exact and global on every set kind because project
+    returns a global nearest point (the regularized gap of Fukushima, Math.
+    Programming 53, 1992). Otherwise projected gradient descent runs from u
+    itself and 8 starts sampled with seed (drawn once per set and seed),
+    keeping the best converged result; starting at u keeps m <= F(u, u) = 0.
     """
     f = problem.bifunction
     s = problem.feasible_set
-    if f.vi_operator is not None and quad > 0:
-        w = s.project(u - np.asarray(f.vi_operator(u), dtype=float) / (2.0 * quad))
-        return w, f(u, w) + reg_value(u, w)
 
     def value(v: Array) -> float:
-        return f(u, v) + reg_value(u, v)
+        return f(u, v) + c * float((v - u) @ (v - u))
+
+    if f.vi_operator is not None and c > 0:
+        w = s.project(u - np.asarray(f.vi_operator(u), dtype=float) / (2.0 * c))
+        return w, value(w)
 
     def grad(v: Array) -> Array:
-        return f.grad_v(u, v) + reg_grad(u, v)
+        return f.grad_v(u, v) + 2.0 * c * (v - u)
 
     starts = np.vstack([u, _cached_sample(s, 8, seed)])
     return multistart_minimize(value, grad, s.project, starts, inner_tol, max_inner)
@@ -236,15 +234,7 @@ def problem_residual(problem: UREProblem, u, *, seed: int = 0) -> float:
     problem to the solver's resolution.
     """
     u = problem.feasible_set.member(u, "u")
-    kap = problem.kappa
-
-    def reg_value(u: Array, v: Array) -> float:
-        return kap * float((v - u) @ (v - u))
-
-    def reg_grad(u: Array, v: Array) -> Array:
-        return 2.0 * kap * (v - u)
-
-    _, m = _best_response(problem, u, reg_value, reg_grad, seed, 1e-11, 600, quad=kap)
+    _, m = _best_response(problem, u, problem.kappa, seed, 1e-11, 600)
     if not math.isfinite(m):
         raise NonFiniteValue("inner minimum is not finite")
     return max(0.0, -m)

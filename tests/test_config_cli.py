@@ -464,6 +464,7 @@ def test_execute_rejects_negative_seed(tmp_path, capsys):
             "two_ball_union; got 'blob'",
         ),
         (dict(scheme="blob"), "scheme must be one of proximal, inertial, explicit, descent; got 'blob'"),
+        (dict(oracle_resolution=1), "oracle.resolution is too small; got 1"),
     ],
     ids=[
         "start-dimension",
@@ -475,13 +476,14 @@ def test_execute_rejects_negative_seed(tmp_path, capsys):
         "nan-radius",
         "unknown-set-kind",
         "unknown-scheme",
+        "oracle-resolution",
     ],
 )
 def test_execute_reports_build_errors(tmp_path, capsys, change, message):
     # A RunConfig made in Python skips parse_config; build_problem's own
     # checks and those of the constructors it calls still end in a message.
     rc = replace(parse_config(str(CONFIG_DIR / "ball_proximal.cfg")), **change)
-    assert execute(rc, out_dir=str(tmp_path / "out")) == 1
+    assert execute(rc, out_dir=str(tmp_path / "out"), oracle=True) == 1
     assert capsys.readouterr().err == f"proxequil: {message}\n"
     assert not (tmp_path / "out").exists()
 

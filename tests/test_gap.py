@@ -14,12 +14,10 @@ from proxequil import (
     BoxMinusBall,
     GapModel,
     MissingGradient,
-    Regularizer,
     SolverConfig,
     Status,
     UREProblem,
     check_necessary_condition,
-    check_regularizer_axioms,
     descent_solve,
     finite_diff_gradient,
     gap_gradient,
@@ -28,7 +26,6 @@ from proxequil import (
     make_vi_bifunction,
     model,
     problem_residual,
-    quadratic_regularizer,
     w_map,
 )
 from problems import (
@@ -178,6 +175,17 @@ def test_necessary_condition_reports():
     assert rep0.min_value == pytest.approx(0.0, abs=1e-12)
 
 
+def test_necessary_condition_is_the_slope_of_the_affine_part():
+    """For T(u) = A u + b the pairing is (w - u)^T A (w - u): grad_u F +
+    grad_v F = A^T (w - u), and the quadratic's two slope terms cancel."""
+    A = np.array([[1.0, 3.0], [-1.0, 0.5]])
+    s = Ball(np.zeros(2), 2.0)
+    g = GapModel(UREProblem(_affine(A, [0.3, -0.7]), s, k=1.0, r=1.0), alpha=5.0)
+    rep = check_necessary_condition(g, 300, 4)
+    D = s.sample(300, 5) - s.sample(300, 4)
+    assert abs(rep.min_value - np.min(np.einsum("ij,jk,ik->i", D, A, D))) <= 1e-12
+
+
 def test_line_search_quadratic_closed_form():
     g = GapModel(ball10_identity())
     u = np.array([0.5, 0.0])
@@ -224,7 +232,7 @@ def test_descent_gaps_monotone_on_annulus():
     gaps = [r.extras["gap"] for r in trace.records]
     for before, after in zip(gaps, gaps[1:]):
         assert after <= before
-    assert annulus_pull_inner().feasible_set.contains(trace.final_point, 1e-8)
+    assert annulus_pull_inner().feasible_set.distance(trace.final_point) <= 1e-8
 
 
 def test_descent_stops_at_the_iteration_budget():
@@ -303,9 +311,9 @@ def test_generic_best_response_reaches_the_closed_form(alpha, u):
 @pytest.mark.parametrize("kind", sorted(SET_KINDS))
 def test_closed_form_best_response_is_the_global_minimum(kind, d):
     """The nearest-point best response of a VI bifunction scores no worse
-    than the multistart descent, which an equal custom regularizer forces,
-    and agrees with it on the convex kinds; the residual at alpha = 2 kappa
-    is the positive part of the same gap."""
+    than the multistart descent, which the same bifunction without its
+    vi_operator forces, and agrees with it on the convex kinds; the residual
+    at alpha = 2 kappa is the positive part of the same gap."""
     s = _kind_in_dim(kind, d)
     rng = np.random.default_rng(d)
     skew = rng.standard_normal((d, d))
@@ -313,7 +321,7 @@ def test_closed_form_best_response_is_the_global_minimum(kind, d):
     p = UREProblem(f, s, k=1.0, r=min(1.0, s.prox_constant))
     alpha = 2.0 * p.kappa
     closed = GapModel(p, alpha=alpha)
-    generic = GapModel(p, alpha=alpha, regularizer=quadratic_regularizer(alpha))
+    generic = GapModel(replace(p, bifunction=replace(f, vi_operator=None)), alpha=alpha)
     for u in s.sample(6, seed=3):
         m_closed = -gap_value(closed, u, CFG)
         m_multi = -gap_value(generic, u, CFG)
@@ -332,30 +340,9 @@ def test_generic_paths_still_reach_multistart(monkeypatch):
     gap_value(GapModel(p), u, CFG)
     problem_residual(p, u)
     assert calls == []
-    gap_value(GapModel(p, regularizer=quadratic_regularizer(1.0)), u, CFG)
-    assert len(calls) == 1
     problem_residual(replace(p, r=math.inf), u)
-    assert len(calls) == 2
+    assert len(calls) == 1
     plain = replace(p, bifunction=_plain_pull()[1])
     gap_value(GapModel(plain), u, CFG)
     problem_residual(plain, u)
-    assert len(calls) == 4
-
-
-def test_regularizer_axioms_quadratic():
-    rep = check_regularizer_axioms(GapModel(ball_pull()))
-    assert rep.passed
-    assert rep.max_diagonal == 0.0
-    assert rep.max_diagonal_grad == 0.0
-    assert rep.convexity_modulus == pytest.approx(1.0, abs=1e-9)
-
-
-def test_regularizer_axioms_reject_negative():
-    bad = Regularizer(
-        value=lambda x, y: -float((y - x) @ (y - x)),
-        grad_x=lambda x, y: 2.0 * (y - x),
-        grad_y=lambda x, y: -2.0 * (y - x),
-    )
-    rep = check_regularizer_axioms(GapModel(ball_pull(), regularizer=bad))
-    assert not rep.passed
-    assert rep.min_value < 0.0
+    assert len(calls) == 3

@@ -40,7 +40,7 @@ def test_vi_bifunction_values():
     # d/du <T(u), v - u> = JT(u)^T (v - u) - T(u)
     np.testing.assert_allclose(f.grad_u(u, v), [3.0, 2.0])
     assert f.vi_operator is not None
-    assert f.diagonal_zero
+    assert f(u, u) == 0.0
 
 
 def test_vi_bifunction_without_jacobian_has_no_grad_u():

@@ -174,10 +174,10 @@ def test_all_iterates_feasible():
     for solve in (proximal_solve, explicit_solve):
         trace = solve(p, cfg, u0)
         for u in trace.points():
-            assert p.feasible_set.contains(u, 1e-8)
+            assert p.feasible_set.distance(u) <= 1e-8
     trace = inertial_proximal_solve(p, cfg, u0)
     for u in trace.points():
-        assert p.feasible_set.contains(u, 1e-8)
+        assert p.feasible_set.distance(u) <= 1e-8
 
 
 def test_start_at_solution_stops_immediately():
