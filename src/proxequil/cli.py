@@ -21,6 +21,7 @@ import numpy as np
 from .config import RunConfig, build_problem, parse_config
 from .errors import InnerSolveFailed, ProxequilError, SubproblemFailed
 from .gap import GapModel, descent_solve, gap_value
+from .geometry import _norm
 from .model import SolverConfig, Status, Trace, UREProblem, problem_residual
 from .oracle import GridSpec, grid_solve
 from .schemes import (
@@ -120,7 +121,7 @@ def execute(
         try:
             if oracle or rc.oracle_enabled:
                 res = grid_solve(p, GridSpec(rc.oracle_resolution))
-                distance = float(np.linalg.norm(final - res.point))
+                distance = _norm(final - res.point)
                 summary["oracle_point"] = [float(x) for x in res.point]
                 summary["oracle_distance"] = distance
                 if rc.scheme in ("proximal", "inertial"):

@@ -11,6 +11,7 @@ parse_config(emit_config written to a file) reproduces the RunConfig exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -327,10 +328,13 @@ def build_problem(rc: RunConfig) -> UREProblem:
     """The problem rc describes; a ValueError of its own or of a constructor
     it calls is reported as a ValidationError. It also rejects a scheme not
     in SCHEMES, so that a RunConfig made in Python names a solver, and an
-    oracle resolution below 2, as parse_config does."""
+    oracle resolution that is not an integer of at least 2, which
+    parse_config cannot produce."""
     try:
         if rc.scheme not in SCHEMES:
             raise ValueError(_one_of("scheme", rc.scheme, SCHEMES)[0])
+        if not isinstance(rc.oracle_resolution, numbers.Integral):
+            raise ValueError(f"oracle.resolution must be an integer; got {rc.oracle_resolution!r}")
         if rc.oracle_resolution < 2:
             raise ValueError(f"oracle.resolution is too small; got {rc.oracle_resolution!r}")
         s = build_set(rc)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingGradient
-from .geometry import Array, as_vector
+from .geometry import Array, _norm, as_vector
 from .model import SolverConfig, Trace, UREProblem, _best_response
 from .schemes import _iterate
 
@@ -143,7 +143,7 @@ def line_search(g: GapModel, u, d, cfg: SolverConfig) -> float:
     """
     u = as_vector(u, g.problem.dim, "u")
     d = as_vector(d, g.problem.dim, "d")
-    if float(np.linalg.norm(d)) == 0.0:
+    if _norm(d) == 0.0:
         return 0.0
     s = g.problem.feasible_set
     cache: dict[float, float] = {}
@@ -197,7 +197,7 @@ def descent_solve(g: GapModel, cfg: SolverConfig, u0) -> Trace:
         nonlocal d, extras
         w, gap = _w_and_gap(g, u, cfg)
         d, extras = w - u, {"gap": gap}
-        res = float(np.linalg.norm(d))
+        res = _norm(d)
         return res, extras, res < cfg.outer_tol
 
     def advance(n: int, u: Array, u_prev: Array) -> Array:

@@ -45,15 +45,40 @@ MEMBERSHIP_TOL = 1e-9
 
 
 def as_vector(x, dim: int | None = None, name: str = "x") -> Array:
-    """Validate and convert to a finite 1-d float64 array."""
+    """Validate and convert to a finite 1-d float64 array.
+
+    Every public ``project`` runs it, so each check is the cheapest numpy
+    call that makes it: ``np.isfinite(v).all()`` is ``np.all(np.isfinite(v))``
+    without the dispatch of ``np.all``.
+    """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be a 1-d vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"{name} has dimension {v.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NonFiniteValue(f"{name} contains NaN or infinity")
     return v
+
+
+def _norm(x: Array) -> float:
+    """The Euclidean norm of a 1-d float64 vector, with the bits of
+    ``float(np.linalg.norm(x))``.
+
+    For such input ``np.linalg.norm`` computes ``sqrt(x.dot(x))``; on a
+    contiguous x, ``x @ x`` is the same BLAS dot without norm's dispatch. A
+    strided view goes to ``np.linalg.norm``, which sums it in another order.
+    """
+    if x.flags.c_contiguous:
+        return math.sqrt(x @ x)
+    return float(np.linalg.norm(x))
+
+
+def _row_norms(X: Array) -> Array:
+    """The Euclidean norm of each row of a 2-d float64 array, with the bits of
+    ``np.linalg.norm(X, axis=1)``: for such input that computes
+    ``sqrt(add.reduce(X * X, axis=1))``, and this skips its dispatch."""
+    return np.sqrt(np.add.reduce(X * X, axis=1))
 
 
 @dataclass(frozen=True)
@@ -123,14 +148,23 @@ class ConstraintSet:
         x = as_vector(x, self.dim)
         return float(self._distance_batch(x[None, :])[0])
 
+    def _contains(self, x: Array) -> bool:
+        """Membership of the validated x: distance within MEMBERSHIP_TOL (1 + ||x||)."""
+        return bool(self._distance_batch(x[None, :])[0] <= MEMBERSHIP_TOL * (1.0 + _norm(x)))
+
     def contains(self, x) -> bool:
-        x = as_vector(x, self.dim)
-        return bool(self._distance_batch(x[None, :])[0] <= MEMBERSHIP_TOL * (1.0 + float(np.linalg.norm(x))))
+        """Whether x lies in the set, to MEMBERSHIP_TOL (1 + ||x||)."""
+        return self._contains(as_vector(x, self.dim))
 
     def member(self, x, name: str = "x") -> Array:
-        """The validated x; PointNotInSet naming it when x is not in the set."""
+        """The validated x; PointNotInSet naming it when x is not in the set.
+
+        x is validated once, then tested by the same ``_contains`` as
+        ``contains``; neither goes through ``contains_batch``, whose points
+        the benchmark counts.
+        """
         x = as_vector(x, self.dim, name)
-        if not self.contains(x):
+        if not self._contains(x):
             raise PointNotInSet(f"{name} is not in the feasible set")
         return x
 
@@ -138,7 +172,7 @@ class ConstraintSet:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DimensionMismatch(f"expected (n, {self.dim}) array, got {X.shape}")
-        return self._distance_batch(X) <= MEMBERSHIP_TOL * (1.0 + np.linalg.norm(X, axis=1))
+        return self._distance_batch(X) <= MEMBERSHIP_TOL * (1.0 + _row_norms(X))
 
     def sample(self, n: int, seed: int) -> Array:
         """n points of the set, uniform over the bounding box conditioned on
@@ -183,7 +217,7 @@ class ConstraintSet:
         """
         u = self.member(u, "u")
         w = as_vector(w, self.dim, "w")
-        if np.linalg.norm(w) > 1.0 + 1e-12:
+        if _norm(w) > 1.0 + 1e-12:
             raise ValueError("w must be unit-scaled: ||w|| <= 1")
         r = self.prox_constant if prox_constant is None else float(prox_constant)
         if r <= 0:
@@ -223,10 +257,10 @@ class Box(ConstraintSet):
         return self.lower, self.upper
 
     def _distance_batch(self, X: Array) -> Array:
-        return np.linalg.norm(X - np.clip(X, self.lower, self.upper), axis=1)
+        return _row_norms(X - np.minimum(np.maximum(X, self.lower), self.upper))
 
     def _nearest(self, x: Array) -> Array:
-        return np.clip(x, self.lower, self.upper)
+        return np.minimum(np.maximum(x, self.lower), self.upper)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,14 +279,15 @@ class Ball(ConstraintSet):
         return self.center - self.radius, self.center + self.radius
 
     def _distance_batch(self, X: Array) -> Array:
-        d = np.linalg.norm(X - self.center, axis=1) - self.radius
+        d = _row_norms(X - self.center) - self.radius
         return np.maximum(d, 0.0)
 
     def _nearest(self, x: Array) -> Array:
-        d = float(np.linalg.norm(x - self.center))
+        offset = x - self.center
+        d = _norm(offset)
         if d <= self.radius:
             return x
-        return self.center + self.radius * (x - self.center) / d
+        return self.center + self.radius * offset / d
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,7 +308,7 @@ class Halfspace(ConstraintSet):
     kind: ClassVar[str] = "halfspace"
 
     def _check(self):
-        if np.linalg.norm(self.normal) <= 0:
+        if _norm(self.normal) <= 0:
             raise ValueError("normal must be nonzero")
         if np.any(self.window_lower > self.window_upper):
             raise ValueError("window needs lower <= upper componentwise")
@@ -283,7 +318,7 @@ class Halfspace(ConstraintSet):
         return self.window_lower, self.window_upper
 
     def _distance_batch(self, X: Array) -> Array:
-        excess = (X @ self.normal - self.offset) / np.linalg.norm(self.normal)
+        excess = (X @ self.normal - self.offset) / _norm(self.normal)
         return np.maximum(excess, 0.0)
 
     def _nearest(self, x: Array) -> Array:
@@ -293,15 +328,15 @@ class Halfspace(ConstraintSet):
         return x - excess / float(self.normal @ self.normal) * self.normal
 
 
-def _radial(center: Array, radius: float, x: Array, d: float) -> Array:
-    """The point at the given radius from center in the direction of x, whose
-    distance from center is d; a center (d <= 1e-13) resolves along the first
-    axis."""
+def _radial(center: Array, radius: float, offset: Array, d: float) -> Array:
+    """The point at the given radius from center in the direction of the
+    offset x - center, whose norm is d; a center (d <= 1e-13) resolves along
+    the first axis."""
     if d <= 1e-13:
         p = center.copy()
         p[0] += radius
         return p
-    return center + radius * (x - center) / d
+    return center + radius * offset / d
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,10 +359,11 @@ class Sphere(ConstraintSet):
         return self.center - self.radius, self.center + self.radius
 
     def _distance_batch(self, X: Array) -> Array:
-        return np.abs(np.linalg.norm(X - self.center, axis=1) - self.radius)
+        return np.abs(_row_norms(X - self.center) - self.radius)
 
     def _nearest(self, x: Array) -> Array:
-        return _radial(self.center, self.radius, x, float(np.linalg.norm(x - self.center)))
+        offset = x - self.center
+        return _radial(self.center, self.radius, offset, _norm(offset))
 
     def sample(self, n: int, seed: int) -> Array:
         # Surface kind: direct sampling, rejection would never terminate.
@@ -363,15 +399,16 @@ class Annulus(ConstraintSet):
         return self.center - self.outer_radius, self.center + self.outer_radius
 
     def _distance_batch(self, X: Array) -> Array:
-        d = np.linalg.norm(X - self.center, axis=1)
+        d = _row_norms(X - self.center)
         return np.maximum(0.0, np.maximum(self.inner_radius - d, d - self.outer_radius))
 
     def _nearest(self, x: Array) -> Array:
-        d = float(np.linalg.norm(x - self.center))
+        offset = x - self.center
+        d = _norm(offset)
         if d <= 1e-13 or d < self.inner_radius:
-            return _radial(self.center, self.inner_radius, x, d)
+            return _radial(self.center, self.inner_radius, offset, d)
         if d > self.outer_radius:
-            return _radial(self.center, self.outer_radius, x, d)
+            return _radial(self.center, self.outer_radius, offset, d)
         return x
 
 
@@ -408,19 +445,20 @@ class BoxMinusBall(ConstraintSet):
         return self.lower, self.upper
 
     def _distance_batch(self, X: Array) -> Array:
-        to_box = np.linalg.norm(X - np.clip(X, self.lower, self.upper), axis=1)
-        radial = np.linalg.norm(X - self.center, axis=1)
+        to_box = _row_norms(X - np.minimum(np.maximum(X, self.lower), self.upper))
+        radial = _row_norms(X - self.center)
         in_box = to_box == 0.0
         return np.where(in_box, np.maximum(self.radius - radial, 0.0), to_box)
 
     def _nearest(self, x: Array) -> Array:
-        clipped = np.clip(x, self.lower, self.upper)
-        if np.any(clipped != x):
+        clipped = np.minimum(np.maximum(x, self.lower), self.upper)
+        if (clipped != x).any():
             return clipped
-        d = float(np.linalg.norm(x - self.center))
+        offset = x - self.center
+        d = _norm(offset)
         if d >= self.radius:
             return x
-        return _radial(self.center, self.radius, x, d)
+        return _radial(self.center, self.radius, offset, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,13 +475,13 @@ class TwoBallUnion(ConstraintSet):
     def _check(self):
         if self.radius_a <= 0 or self.radius_b <= 0:
             raise ValueError("radii must be positive")
-        gap = float(np.linalg.norm(self.center_a - self.center_b)) - self.radius_a - self.radius_b
+        gap = _norm(self.center_a - self.center_b) - self.radius_a - self.radius_b
         if gap <= 0:
             raise ValueError("balls must be disjoint with a positive gap")
 
     @property
     def prox_constant(self) -> float:
-        sep = float(np.linalg.norm(self.center_a - self.center_b))
+        sep = _norm(self.center_a - self.center_b)
         return 0.5 * (sep - self.radius_a - self.radius_b)
 
     @property
@@ -453,23 +491,24 @@ class TwoBallUnion(ConstraintSet):
         return lo, hi
 
     def _distance_batch(self, X: Array) -> Array:
-        da = np.maximum(np.linalg.norm(X - self.center_a, axis=1) - self.radius_a, 0.0)
-        db = np.maximum(np.linalg.norm(X - self.center_b, axis=1) - self.radius_b, 0.0)
+        da = np.maximum(_row_norms(X - self.center_a) - self.radius_a, 0.0)
+        db = np.maximum(_row_norms(X - self.center_b) - self.radius_b, 0.0)
         return np.minimum(da, db)
 
     def _nearest(self, x: Array) -> Array:
-        da = float(np.linalg.norm(x - self.center_a)) - self.radius_a
-        db = float(np.linalg.norm(x - self.center_b)) - self.radius_b
+        offset_a, offset_b = x - self.center_a, x - self.center_b
+        da = _norm(offset_a) - self.radius_a
+        db = _norm(offset_b) - self.radius_b
         if da <= 0 or db <= 0:
             return x
-        pa = self.center_a + self.radius_a * (x - self.center_a) / (da + self.radius_a)
-        pb = self.center_b + self.radius_b * (x - self.center_b) / (db + self.radius_b)
-        tie = 1e-12 * (1.0 + float(np.linalg.norm(x)))
-        if abs(da - db) <= tie:
+        if abs(da - db) <= 1e-12 * (1.0 + _norm(x)):
             # Equidistant locus: deterministic tie-break on the centers.
-            first_a = tuple(self.center_a) <= tuple(self.center_b)
-            return pa if first_a else pb
-        return pa if da < db else pb
+            to_a = tuple(self.center_a) <= tuple(self.center_b)
+        else:
+            to_a = da < db
+        if to_a:
+            return self.center_a + self.radius_a * offset_a / (da + self.radius_a)
+        return self.center_b + self.radius_b * offset_b / (db + self.radius_b)
 
 
 SET_KINDS = {

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyTrace, SubproblemFailed
-from .geometry import Array, _cached_sample, as_vector
+from .geometry import Array, _cached_sample, _norm, as_vector
 from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem
 
 
@@ -72,7 +72,7 @@ def solve_subproblem(spec: SubproblemSpec, cfg: SolverConfig) -> Array:
     w = spec.u_n
     for _ in range(cfg.max_inner):
         w_new = project(z - scale * f.grad_v(w, w))
-        if float(np.linalg.norm(w_new - w)) <= cfg.inner_tol:
+        if _norm(w_new - w) <= cfg.inner_tol:
             return w_new
         w = w_new
     raise SubproblemFailed(
@@ -108,23 +108,25 @@ def default_step_size(problem: UREProblem, seed: int = 0) -> float:
     """0.5 / (1 + L) with L a Lipschitz estimate of grad_v F over 100
     sampled pairs, one pair at a time: Bifunction.grad_v_rows (a matrix
     product) and row norms can move L by an ulp, and with it each lambda = auto run.
+    The per-pair norms stay per pair; ``_norm`` computes each with the bits
+    of ``np.linalg.norm``.
     """
     f = problem.bifunction
     X = problem.feasible_set.sample(100, seed)
     Y = problem.feasible_set.sample(100, seed + 1)
     L = 0.0
     for x, y in zip(X, Y):
-        gap = float(np.linalg.norm(x - y))
+        gap = _norm(x - y)
         if gap <= 1e-12:
             continue
-        L = max(L, float(np.linalg.norm(f.grad_v(x, x) - f.grad_v(y, y))) / gap)
+        L = max(L, _norm(f.grad_v(x, x) - f.grad_v(y, y)) / gap)
     return 0.5 / (1.0 + L)
 
 
 def _natural_residual(problem: UREProblem, u: Array, lam: float) -> float:
     f = problem.bifunction
     moved = problem.feasible_set.project(u - lam * f.grad_v(u, u))
-    return float(np.linalg.norm(u - moved))
+    return _norm(u - moved)
 
 
 def _resolve_lam(problem: UREProblem, cfg: SolverConfig) -> float:
@@ -154,7 +156,7 @@ def _iterate(cfg: SolverConfig, u0: Array, measure: _Measure, advance: Callable[
             u_next = advance(n, u_n, u_prev)
         except SubproblemFailed:
             return Trace(records, Status.SUBPROBLEM_FAILED)
-        step = float(np.linalg.norm(u_next - u_n))
+        step = _norm(u_next - u_n)
         residual, extras, done = measure(u_next)
         records.append(TraceRecord(n + 1, u_next, step, residual, extras))
         done = done or step < cfg.outer_tol

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxequil import GapModel, ParseError, RunConfig, ValidationError, config, emit_config, gap_value, parse_config, schemes
+from proxequil import ConstraintSet, GapModel, ParseError, RunConfig, ValidationError, config, emit_config, gap_value, parse_config, schemes
 from proxequil.cli import execute, main
 from problems import shipped_sets
 
@@ -465,6 +465,10 @@ def test_execute_rejects_negative_seed(tmp_path, capsys):
         ),
         (dict(scheme="blob"), "scheme must be one of proximal, inertial, explicit, descent; got 'blob'"),
         (dict(oracle_resolution=1), "oracle.resolution is too small; got 1"),
+        (dict(oracle_resolution=2.5), "oracle.resolution must be an integer; got 2.5"),
+        (dict(oracle_resolution=math.nan), "oracle.resolution must be an integer; got nan"),
+        (dict(oracle_resolution=math.inf), "oracle.resolution must be an integer; got inf"),
+        (dict(oracle_resolution=3.0), "oracle.resolution must be an integer; got 3.0"),
     ],
     ids=[
         "start-dimension",
@@ -477,6 +481,10 @@ def test_execute_rejects_negative_seed(tmp_path, capsys):
         "unknown-set-kind",
         "unknown-scheme",
         "oracle-resolution",
+        "oracle-resolution-fraction",
+        "oracle-resolution-nan",
+        "oracle-resolution-inf",
+        "oracle-resolution-float",
     ],
 )
 def test_execute_reports_build_errors(tmp_path, capsys, change, message):
@@ -486,6 +494,17 @@ def test_execute_reports_build_errors(tmp_path, capsys, change, message):
     assert execute(rc, out_dir=str(tmp_path / "out"), oracle=True) == 1
     assert capsys.readouterr().err == f"proxequil: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name, calls", [("ball_proximal", 590), ("annulus_inertial", 7177)])
+def test_shipped_runs_project_through_the_public_method(tmp_path, monkeypatch, name, calls):
+    """Every projection of a run goes through the public ConstraintSet.project,
+    which the benchmark wraps to count projections and inner sweeps."""
+    project = ConstraintSet.project
+    seen = []
+    monkeypatch.setattr(ConstraintSet, "project", lambda s, x: seen.append(x) or project(s, x))
+    assert execute(parse_config(str(CONFIG_DIR / f"{name}.cfg")), out_dir=str(tmp_path / "out")) == 0
+    assert len(seen) == calls
 
 
 def test_verify_resolves_auto_lambda_once(tmp_path, monkeypatch):

@@ -22,7 +22,7 @@ from proxequil import (
     Sphere,
     TwoBallUnion,
 )
-from proxequil.geometry import SET_KINDS, as_vector
+from proxequil.geometry import SET_KINDS, _norm, _row_norms, as_vector
 from problems import exterior_boundary_pairs, shipped_sets
 
 CONVEX_KINDS = (Box, Ball, Halfspace)
@@ -137,6 +137,72 @@ def test_box_minus_ball_projections():
     )
     # the ball's center is equidistant from the whole removed sphere
     np.testing.assert_allclose(s.project(np.zeros(2)), [1.0, 0.0], atol=0)
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 12])
+def test_norms_have_the_bits_of_linalg_norm(d):
+    rng = np.random.default_rng(d)
+    tiny = np.finfo(float).smallest_subnormal
+    vectors = [np.zeros(d), -np.zeros(d), np.full(d, tiny), tiny * rng.integers(-9, 10, d).astype(float)]
+    vectors += [10.0**e * rng.standard_normal(d) for e in range(-150, 151, 5) for _ in range(20)]
+    for _ in range(200):  # subnormal entries, alone and next to normal ones
+        sub = np.ldexp(rng.choice([-1.0, 1.0], d), rng.integers(-1074, -1022, d))
+        vectors += [sub, np.where(rng.random(d) < 0.5, sub, rng.standard_normal(d))]
+    # strided views, which BLAS may sum in another order than a contiguous copy
+    vectors += [rng.standard_normal((d, 3))[:, 0], rng.standard_normal(2 * d)[::-2], np.zeros((d, 2))[:, 1]]
+    vectors += [(10.0**e * rng.standard_normal((d, 3)))[:, 1] for e in range(-150, 151, 5) for _ in range(20)]
+    for x in vectors:
+        n = _norm(x)
+        assert type(n) is float
+        assert _same_bits(n, float(np.linalg.norm(x))), x
+    X = np.array(vectors)
+    for rows in (X, X[:1], np.asfortranarray(X), X[::-3], np.hstack([X, X])[:, ::2]):
+        assert _same_bits(_row_norms(rows), np.linalg.norm(rows, axis=1))
+
+
+def _clip_reference(s, x):
+    """The nearest point of a Box or BoxMinusBall, written with np.clip."""
+    clipped = np.clip(x, s.lower, s.upper)
+    if isinstance(s, Box) or np.any(clipped != x):
+        return clipped
+    d = float(np.linalg.norm(x - s.center))
+    if d >= s.radius:
+        return x
+    if d <= 1e-13:  # the center resolves along the first axis
+        p = s.center.copy()
+        p[0] += s.radius
+        return p
+    return s.center + s.radius * (x - s.center) / d
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 12])
+def test_box_kernels_match_clip_bit_for_bit(d):
+    """Box and BoxMinusBall give np.clip's bits, signed zeros included, for
+    points on, inside and outside boxes with signed-zero faces."""
+    rng = np.random.default_rng(100 + d)
+    values = np.array([0.0, -0.0, 2.0, -2.0, 2.5, -2.5, 1.0, -1.0, 1e-300, -1e-300])
+    for _ in range(200):
+        lower_side = rng.random(d) < 0.5  # the box is [+-0, 2] or [-2, +-0] on each axis
+        zero = rng.choice([0.0, -0.0], d)
+        lower = np.where(lower_side, zero, -2.0)
+        upper = np.where(lower_side, 2.0, zero)
+        sets = (Box(lower, upper), BoxMinusBall(lower, upper, np.where(lower_side, 1.0, -1.0), 0.5))
+        X = np.where(rng.random((20, d)) < 0.7, rng.choice(values, (20, d)), 3.0 * rng.standard_normal((20, d)))
+        for s in sets:
+            for x in X:
+                assert _same_bits(s.project(x), _clip_reference(s, x)), (s, x)
+            to_box = np.linalg.norm(X - np.clip(X, lower, upper), axis=1)
+            if isinstance(s, Box):
+                expected = to_box
+            else:
+                radial = np.maximum(s.radius - np.linalg.norm(X - s.center, axis=1), 0.0)
+                expected = np.where(to_box == 0.0, radial, to_box)
+            assert _same_bits(s._distance_batch(X), expected)
 
 
 def test_proximal_normal_certificates():
