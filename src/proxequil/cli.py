@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -20,12 +21,11 @@ import numpy as np
 
 from .config import RunConfig, build_problem, parse_config
 from .errors import InnerSolveFailed, ProxequilError, SubproblemFailed
-from .gap import GapModel, descent_solve, gap_value
+from .gap import descent_solve, gap_value
 from .geometry import _norm
 from .model import SolverConfig, Status, Trace, UREProblem, problem_residual
 from .oracle import GridSpec, grid_solve
 from .schemes import (
-    SubproblemSpec,
     _resolve_lam,
     explicit_solve,
     fejer_check,
@@ -61,12 +61,13 @@ def _verify_steps(
 ) -> tuple[bool | None, float | None]:
     """(all passed, worst violation) over the accepted steps, with the
     resolved step cfg.lam; (None, None) when the trace has no accepted step."""
-    gamma = 0.0 if rc.scheme == "proximal" else cfg.gamma
+    if rc.scheme == "proximal":
+        cfg = replace(cfg, gamma=0.0)
     pts = [r.point for r in trace.records]
-    checks = []
-    for n in range(len(pts) - 1):
-        spec = SubproblemSpec(p, pts[n], pts[n - 1] if n else pts[0], cfg.lam, gamma)
-        checks.append(verify_subproblem_inequality(spec, pts[n + 1], seed=cfg.seed))
+    checks = [
+        verify_subproblem_inequality(p, pts[n], pts[n - 1] if n else pts[0], pts[n + 1], cfg)
+        for n in range(len(pts) - 1)
+    ]
     if not checks:
         print("proxequil: subproblem check not computed: no accepted step", file=sys.stderr)
         return None, None
@@ -81,8 +82,8 @@ def execute(
     verify: bool = False,
 ) -> int:
     """Run one config and write its outputs; returns the process exit code."""
-    if seed is not None and seed < 0:
-        print(f"proxequil: seed must be nonnegative; got {seed}", file=sys.stderr)
+    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
+        print(f"proxequil: seed must be a nonnegative integer; got {seed!r}", file=sys.stderr)
         return 1
     try:
         p = build_problem(rc)
@@ -97,7 +98,7 @@ def execute(
             "proximal": proximal_solve,
             "inertial": inertial_proximal_solve,
             "explicit": explicit_solve,
-            "descent": lambda p, cfg, u0: descent_solve(GapModel(p, alpha=cfg.alpha), cfg, u0),
+            "descent": descent_solve,
         }
         trace = solvers[rc.scheme](p, cfg, np.array(rc.start, dtype=float))
 
@@ -109,7 +110,7 @@ def execute(
         }
         for key, merit in (
             ("final_residual", lambda: problem_residual(p, final, seed=cfg.seed)),
-            ("final_gap", lambda: gap_value(GapModel(p, alpha=cfg.alpha), final, cfg)),
+            ("final_gap", lambda: gap_value(p, final, cfg)),
         ):
             try:
                 summary[key] = merit()

@@ -318,8 +318,10 @@ def build_bifunction(rc: RunConfig) -> Bifunction:
     if b.shape != (dim,):
         raise ValueError("problem.bifunction.offset length must match problem.start")
 
+    At = A.T
+
     def T(u):
-        return np.asarray(u, dtype=float) @ A.T + b
+        return np.asarray(u, dtype=float) @ At + b
 
     return make_vi_bifunction(T, JT=lambda u: A)
 

@@ -1,7 +1,7 @@
 """Merit-function machinery: a regularized best-response map turns the
 equilibrium problem into the minimization of a nonnegative gap.
 
-With a weight alpha > 0 (default k/r) the gap at a feasible u is
+With the weight alpha > 0 of SolverConfig (default k/r) the gap at a feasible u is
 
     gap(u) = -( F(u, w) + (alpha/2) ||w - u||^2 ),
     w = argmin_v F(u, v) + (alpha/2) ||v - u||^2,
@@ -21,7 +21,7 @@ and iterate onto the set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,36 +31,23 @@ from .model import SolverConfig, Trace, UREProblem, _best_response
 from .schemes import _iterate
 
 
-@dataclass(frozen=True, eq=False)
-class GapModel:
-    """An equilibrium problem and the weight alpha of its gap's quadratic
-    (alpha / 2) ||v - u||^2.
-
-    alpha=None resolves to k/r, or to k for a problem posed with r = inf,
-    where k/r is no weight at all and any positive one gives a valid gap.
-    """
-
-    problem: UREProblem
-    alpha: float | None = None
-    resolved_alpha: float = field(init=False)
-
-    def __post_init__(self):
-        alpha = self.alpha
-        if alpha is None:
-            p = self.problem
-            alpha = p.k if math.isinf(p.r) else p.k / p.r
-        if not alpha > 0:
-            raise ValueError("alpha must be positive")
-        object.__setattr__(self, "resolved_alpha", float(alpha))
+def _alpha(problem: UREProblem, cfg: SolverConfig) -> float:
+    """The gap weight: cfg.alpha, else k/r, or k for a problem posed with
+    r = inf, where k/r is no weight at all and any positive one gives a
+    valid gap."""
+    if cfg.alpha is not None:
+        return float(cfg.alpha)
+    return float(problem.k if math.isinf(problem.r) else problem.k / problem.r)
 
 
-def _w_and_gap(g: GapModel, u: Array, cfg: SolverConfig) -> tuple[Array, float]:
-    w, m = _best_response(g.problem, u, 0.5 * g.resolved_alpha, cfg.seed, cfg.inner_tol, cfg.max_inner)
+def _w_and_gap(problem: UREProblem, u: Array, cfg: SolverConfig) -> tuple[Array, float]:
+    w, m = _best_response(problem, u, 0.5 * _alpha(problem, cfg), cfg.seed, cfg.inner_tol, cfg.max_inner)
     return w, -m + 0.0
 
 
-def w_map(g: GapModel, u, cfg: SolverConfig) -> Array:
-    """Best response: the minimizer over the set of F(u, .) + (alpha/2) ||. - u||^2.
+def w_map(problem: UREProblem, u, cfg: SolverConfig) -> Array:
+    """Best response: the minimizer over the set of F(u, .) + (alpha/2) ||. - u||^2,
+    with alpha from cfg.
 
     For a VI bifunction this is the nearest point P(u - T(u) / alpha), exact
     and global. Otherwise it is projected gradient descent from u plus 8
@@ -68,26 +55,26 @@ def w_map(g: GapModel, u, cfg: SolverConfig) -> Array:
     v = u is beaten or matched, so the minimum never exceeds zero and the
     gap is nonnegative.
     """
-    return _w_and_gap(g, g.problem.feasible_set.member(u, "u"), cfg)[0]
+    return _w_and_gap(problem, problem.feasible_set.member(u, "u"), cfg)[0]
 
 
-def gap_value(g: GapModel, u, cfg: SolverConfig) -> float:
+def gap_value(problem: UREProblem, u, cfg: SolverConfig) -> float:
     """-(F(u, w) + (alpha/2) ||w - u||^2) at the best response w."""
-    return _w_and_gap(g, g.problem.feasible_set.member(u, "u"), cfg)[1]
+    return _w_and_gap(problem, problem.feasible_set.member(u, "u"), cfg)[1]
 
 
-def gap_gradient(g: GapModel, u, cfg: SolverConfig) -> Array:
+def gap_gradient(problem: UREProblem, u, cfg: SolverConfig) -> Array:
     """Gradient of the gap: -grad_u F(u, w) - alpha (u - w) at w = w_map(u).
 
     The envelope rule removes the dependence through w, so only first-slot
     gradients appear.
     """
-    u = g.problem.feasible_set.member(u, "u")
-    f = g.problem.bifunction
+    u = problem.feasible_set.member(u, "u")
+    f = problem.bifunction
     if f.grad_u is None:
         raise MissingGradient("gap_gradient needs the first-slot gradient of F")
-    w = _w_and_gap(g, u, cfg)[0]
-    return -f.grad_u(u, w) - g.resolved_alpha * (u - w)
+    w = _w_and_gap(problem, u, cfg)[0]
+    return -f.grad_u(u, w) - _alpha(problem, cfg) * (u - w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +86,7 @@ class NecessaryConditionReport:
     n_pairs: int
 
 
-def check_necessary_condition(g: GapModel, n_pairs: int, seed: int) -> NecessaryConditionReport:
+def check_necessary_condition(problem: UREProblem, n_pairs: int, seed: int) -> NecessaryConditionReport:
     """Sampled test of the monotonicity-type condition behind gap descent.
 
     Over sampled feasible pairs (u, w), evaluates the combined-slope pairing
@@ -113,10 +100,10 @@ def check_necessary_condition(g: GapModel, n_pairs: int, seed: int) -> Necessary
     """
     if n_pairs <= 0:
         raise ValueError("n_pairs must be positive")
-    f = g.problem.bifunction
+    f = problem.bifunction
     if f.grad_u is None:
         raise MissingGradient("necessary-condition check needs the first-slot gradient of F")
-    s = g.problem.feasible_set
+    s = problem.feasible_set
     U = s.sample(n_pairs, seed)
     W = s.sample(n_pairs, seed + 1)
     worst = np.inf
@@ -133,7 +120,7 @@ def check_necessary_condition(g: GapModel, n_pairs: int, seed: int) -> Necessary
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def line_search(g: GapModel, u, d, cfg: SolverConfig) -> float:
+def line_search(problem: UREProblem, u, d, cfg: SolverConfig) -> float:
     """Globally minimize t -> gap(u + t d) over [0, 1].
 
     Coarse 17-point scan to bracket the best region, golden-section refinement
@@ -141,16 +128,16 @@ def line_search(g: GapModel, u, d, cfg: SolverConfig) -> float:
     the exact endpoints 0 and 1. Every probe is projected onto the set
     before evaluation. d = 0 returns 0 by convention.
     """
-    u = as_vector(u, g.problem.dim, "u")
-    d = as_vector(d, g.problem.dim, "d")
+    u = as_vector(u, problem.dim, "u")
+    d = as_vector(d, problem.dim, "d")
     if _norm(d) == 0.0:
         return 0.0
-    s = g.problem.feasible_set
+    s = problem.feasible_set
     cache: dict[float, float] = {}
 
     def phi(t: float) -> float:
         if t not in cache:
-            cache[t] = gap_value(g, s.project(u + t * d), cfg)
+            cache[t] = gap_value(problem, s.project(u + t * d), cfg)
         return cache[t]
 
     ts = [i / 16.0 for i in range(17)]
@@ -180,7 +167,7 @@ def line_search(g: GapModel, u, d, cfg: SolverConfig) -> float:
     return best_t
 
 
-def descent_solve(g: GapModel, cfg: SolverConfig, u0) -> Trace:
+def descent_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
     """Minimize the gap along best-response directions with exact line search.
 
     Each record carries the gap value in extras["gap"], the step factor
@@ -189,19 +176,19 @@ def descent_solve(g: GapModel, cfg: SolverConfig, u0) -> Trace:
     the direction norm or the step norm falls below cfg.outer_tol. The
     accepted point is projected onto the set, so every iterate lies in it.
     """
-    s = g.problem.feasible_set
+    s = problem.feasible_set
     u0 = s.member(u0, "u0")
     d = extras = None  # the direction and record of the iterate measured last
 
     def measure(u: Array) -> tuple[float, dict[str, float], bool]:
         nonlocal d, extras
-        w, gap = _w_and_gap(g, u, cfg)
+        w, gap = _w_and_gap(problem, u, cfg)
         d, extras = w - u, {"gap": gap}
         res = _norm(d)
         return res, extras, res < cfg.outer_tol
 
     def advance(n: int, u: Array, u_prev: Array) -> Array:
-        t = line_search(g, u, d, cfg)
+        t = line_search(problem, u, d, cfg)
         extras["t"] = t
         return s.project(u + t * d)
 

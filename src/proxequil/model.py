@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -160,11 +161,14 @@ class UREProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by the iterative schemes.
+    """Knobs shared by the iterative schemes, and the one home of the
+    paper's three parameters and the seed: the implicit and explicit step
+    lam, the inertial weight gamma and the gap weight alpha.
 
     lam=None asks each scheme to pick a step from a finite-difference
     Lipschitz estimate of the second-slot gradient; alpha=None lets the gap
-    machinery default the gap weight to k/r (k when r = inf).
+    machinery default the gap weight to k/r (k when r = inf). The budgets
+    and the seed must be integers.
     """
 
     lam: float | None = None
@@ -187,6 +191,9 @@ class SolverConfig:
         for name in ("outer_tol", "inner_tol", "line_search_tol"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("max_outer", "max_inner", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer; got {getattr(self, name)!r}")
         if self.max_outer < 1 or self.max_inner < 1:
             raise ValueError("iteration budgets must be at least 1")
         if self.seed < 0:

@@ -25,6 +25,7 @@ by one Bifunction.eval_rows call per 128-point v-block, abandoned the same way.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class GridSpec:
     box: tuple[Array, Array] | None = None
 
     def __post_init__(self):
-        if int(self.resolution) != self.resolution or self.resolution < 2:
-            raise ValueError("resolution must be an integer >= 2")
+        if not isinstance(self.resolution, numbers.Integral) or self.resolution < 2:
+            raise ValueError(f"resolution must be an integer >= 2; got {self.resolution!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,7 +8,7 @@ its trace record, extras such as the gap, and whether the iterate is done)
 and the step. The fixed-point schemes measure the natural residual and
 differ only in the step. With kappa = k/(2r) and an extrapolated base point
 
-    z = u_n - (gamma_n / (1 + kappa)) (u_n - u_prev),
+    z = u_n - (gamma / (1 + kappa)) (u_n - u_prev),
 
 the implicit step returns the w solving the strengthened auxiliary inequality
 
@@ -23,7 +23,7 @@ u_{n+1} = P[u_n - lam grad_v F(u_n, u_n)], and involves no kappa at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -33,43 +33,27 @@ from .geometry import Array, _cached_sample, _norm, as_vector
 from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem
 
 
-@dataclass(frozen=True, eq=False)
-class SubproblemSpec:
-    """One implicit step: current iterate, previous iterate, step and inertia
-    weights. kappa is copied from the problem for direct access."""
-
-    problem: UREProblem
-    u_n: Array
-    u_prev: Array
-    lam: float
-    gamma_n: float
-    kappa: float = field(init=False)
-
-    def __post_init__(self):
-        for name in ("u_n", "u_prev"):
-            object.__setattr__(self, name, self.problem.feasible_set.member(getattr(self, name), name))
-        object.__setattr__(self, "kappa", self.problem.kappa)
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if self.gamma_n < 0:
-            raise ValueError("gamma_n must be nonnegative")
-
-    @property
-    def base_point(self) -> Array:
-        return self.u_n - (self.gamma_n / (1.0 + self.kappa)) * (self.u_n - self.u_prev)
+def _base_point(problem: UREProblem, u_n, u_prev, cfg: SolverConfig) -> tuple[Array, Array]:
+    """u_n, checked, and the implicit step's base point
+    z = u_n - (gamma/(1+kappa)) (u_n - u_prev), with gamma from cfg."""
+    if cfg.lam is None:
+        raise ValueError("the implicit step needs a step size: cfg.lam is None")
+    s = problem.feasible_set
+    u_n, u_prev = s.member(u_n, "u_n"), s.member(u_prev, "u_prev")
+    return u_n, u_n - (cfg.gamma / (1.0 + problem.kappa)) * (u_n - u_prev)
 
 
-def solve_subproblem(spec: SubproblemSpec, cfg: SolverConfig) -> Array:
-    """Fixed point of w <- P[z - (lam/(1+kappa)) grad_v F(w, w)].
+def solve_subproblem(problem: UREProblem, u_n, u_prev, cfg: SolverConfig) -> Array:
+    """Fixed point of w <- P[z - (lam/(1+kappa)) grad_v F(w, w)] from w = u_n,
+    with lam and gamma from cfg.
 
     Iterates until the successive change drops below cfg.inner_tol; raises
     SubproblemFailed when cfg.max_inner sweeps do not get there.
     """
-    f = spec.problem.bifunction
-    project = spec.problem.feasible_set.project
-    z = spec.base_point
-    scale = spec.lam / (1.0 + spec.kappa)
-    w = spec.u_n
+    w, z = _base_point(problem, u_n, u_prev, cfg)
+    f = problem.bifunction
+    project = problem.feasible_set.project
+    scale = cfg.lam / (1.0 + problem.kappa)
     for _ in range(cfg.max_inner):
         w_new = project(z - scale * f.grad_v(w, w))
         if _norm(w_new - w) <= cfg.inner_tol:
@@ -88,17 +72,19 @@ class SubproblemCheck:
     n_samples: int
 
 
-def verify_subproblem_inequality(spec: SubproblemSpec, w: Array, seed: int = 0) -> SubproblemCheck:
-    """Sampled audit of the strengthened auxiliary inequality at w.
+def verify_subproblem_inequality(problem: UREProblem, u_n, u_prev, w, cfg: SolverConfig) -> SubproblemCheck:
+    """Sampled audit of the strengthened auxiliary inequality at w, the step
+    from u_n with lam and gamma from cfg.
 
     Checks lam F(w, v) + (1+kappa) <w - z, v - w> >= -1e-8 at the 10^4
-    feasible v of sample(10000, seed) in one Bifunction.eval_rows call; the
-    worst point is the first row of least value.
+    feasible v of sample(10000, cfg.seed) in one Bifunction.eval_rows call;
+    the worst point is the first row of least value.
     """
-    w = as_vector(w, spec.problem.dim, "w")
-    V = _cached_sample(spec.problem.feasible_set, 10000, seed)
-    shift = (1.0 + spec.kappa) * (w - spec.base_point)
-    vals = spec.lam * spec.problem.bifunction.eval_rows(w, V) + (V - w) @ shift
+    _, z = _base_point(problem, u_n, u_prev, cfg)
+    w = as_vector(w, problem.dim, "w")
+    V = _cached_sample(problem.feasible_set, 10000, cfg.seed)
+    shift = (1.0 + problem.kappa) * (w - z)
+    vals = cfg.lam * problem.bifunction.eval_rows(w, V) + (V - w) @ shift
     i = int(np.argmin(vals))
     worst = float(-vals[i])
     return SubproblemCheck(worst <= 1e-8, worst, V[i], V.shape[0])
@@ -169,35 +155,22 @@ def _residual_measure(problem: UREProblem, lam: float) -> _Measure:
     return lambda u: (_natural_residual(problem, u, lam), {}, False)
 
 
-def inertial_proximal_solve(
-    problem: UREProblem,
-    cfg: SolverConfig,
-    u0,
-    gamma_schedule: Callable[[int], float] | None = None,
-) -> Trace:
-    """Implicit scheme with inertial extrapolation gamma_n (u_n - u_{n-1}).
-
-    gamma_schedule maps the iteration index to gamma_n; the default is the
-    constant cfg.gamma.
-    """
+def inertial_proximal_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
+    """Implicit scheme with inertial extrapolation gamma (u_n - u_{n-1}),
+    gamma = cfg.gamma."""
     u0 = problem.feasible_set.member(u0, "u0")
-    lam = _resolve_lam(problem, cfg)
+    cfg = replace(cfg, lam=_resolve_lam(problem, cfg))
 
     def advance(n: int, u_n: Array, u_prev: Array) -> Array:
-        gamma_n = cfg.gamma if gamma_schedule is None else gamma_schedule(n)
-        spec = SubproblemSpec(problem, u_n, u_prev, lam, float(gamma_n))
-        return solve_subproblem(spec, cfg)
+        return solve_subproblem(problem, u_n, u_prev, cfg)
 
-    return _iterate(cfg, u0, _residual_measure(problem, lam), advance)
+    return _iterate(cfg, u0, _residual_measure(problem, cfg.lam), advance)
 
 
 def proximal_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
-    """Implicit scheme without inertia: gamma_n identically zero.
-
-    Shares every instruction with inertial_proximal_solve, so a zero-gamma
-    inertial run reproduces this trace bitwise.
-    """
-    return inertial_proximal_solve(problem, cfg, u0, gamma_schedule=lambda n: 0.0)
+    """Implicit scheme without inertia: the inertial scheme at gamma = 0, so
+    a zero-gamma inertial run reproduces this trace bitwise."""
+    return inertial_proximal_solve(problem, replace(cfg, gamma=0.0), u0)
 
 
 def explicit_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:

@@ -8,6 +8,7 @@ the solvers under test.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -15,7 +16,6 @@ from proxequil import (
     Ball,
     Bifunction,
     Box,
-    GapModel,
     GridSpec,
     Halfspace,
     SolverConfig,
@@ -87,7 +87,7 @@ def test_criterion_02_convergence_to_oracle():
 def test_criterion_03_zero_inertia_degenerates_byte_for_byte():
     p = ball_pull()
     a = proximal_solve(p, CFG, U0)
-    b = inertial_proximal_solve(p, CFG, U0, gamma_schedule=lambda n: 0.0)
+    b = inertial_proximal_solve(p, replace(CFG, gamma=0.0), U0)
     assert a.status is b.status
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
@@ -137,27 +137,25 @@ def test_criterion_05_gap_axioms():
 
     # nonnegative at 1000 sampled feasible points across the four problems
     for i, (p, _) in enumerate(cases):
-        g = GapModel(p)
         for u in p.feasible_set.sample(250, seed=50 + i):
-            assert gap_value(g, u, CFG) >= -1e-10
+            assert gap_value(p, u, CFG) >= -1e-10
 
     # zero at each analytic solution, cross-certified by the oracle
     for p, u_star in cases:
         oracle = grid_solve(p, GridSpec(400))
         assert oracle.certified
         assert np.linalg.norm(oracle.point - u_star) <= 1.5 * oracle.spacing
-        assert gap_value(GapModel(p), u_star, CFG) <= 1e-8
+        assert gap_value(p, u_star, CFG) <= 1e-8
 
     # clearly positive wherever the residual is clearly positive
     checked = 0
     for i, (p, _) in enumerate(cases):
-        g = GapModel(p)
         for u in p.feasible_set.sample(60, seed=70 + i):
             if checked >= 100:
                 break
             if problem_residual(p, u) < 1e-2:
                 continue
-            assert gap_value(g, u, CFG) >= 1e-4
+            assert gap_value(p, u, CFG) >= 1e-4
             checked += 1
     assert checked >= 100
     _ok(5, "gap is nonnegative, zero at certified solutions, large off them")
@@ -165,7 +163,7 @@ def test_criterion_05_gap_axioms():
 
 def test_criterion_06_gap_gradient_against_finite_differences():
     start = time.perf_counter()
-    g = GapModel(ball10_identity())
+    g = ball10_identity()
     rng = np.random.default_rng(61)
     for _ in range(100):
         u = rng.normal(size=2)
@@ -183,10 +181,9 @@ def test_criterion_07_descent_direction_sign():
         (ball10_identity(), [np.array([0.5, 0.0]), np.array([3.0, -4.0])]),
     ]
     for p, starts in instances:
-        g = GapModel(p)
-        assert check_necessary_condition(g, 200, 0).passed
+        assert check_necessary_condition(p, 200, 0).passed
         for u0 in starts:
-            trace = descent_solve(g, CFG, u0)
+            trace = descent_solve(p, CFG, u0)
             gaps = [r.extras["gap"] for r in trace.records]
             for before, after in zip(gaps, gaps[1:]):
                 assert after <= before
@@ -194,15 +191,15 @@ def test_criterion_07_descent_direction_sign():
                 if rec.residual <= 1e-8:
                     continue
                 u = rec.point
-                d = w_map(g, u, CFG) - u
+                d = w_map(p, u, CFG) - u
                 assert abs(np.linalg.norm(d) - rec.residual) <= 1e-9
-                assert float(gap_gradient(g, u, CFG) @ d) < 0.0
+                assert float(gap_gradient(p, u, CFG) @ d) < 0.0
     _ok(7, "descent direction has negative slope and gaps never increase")
 
 
 def test_criterion_08_descent_convergence():
     p = ball_pull()
-    trace = descent_solve(GapModel(p), CFG, U0)
+    trace = descent_solve(p, CFG, U0)
     assert trace.status is Status.CONVERGED
     assert problem_residual(p, trace.final_point) <= 1e-6
     oracle = grid_solve(p, GridSpec(400))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxequil import ConstraintSet, GapModel, ParseError, RunConfig, ValidationError, config, emit_config, gap_value, parse_config, schemes
+from proxequil import ConstraintSet, ParseError, RunConfig, ValidationError, cli, config, emit_config, gap, gap_value, parse_config, schemes
 from proxequil.cli import execute, main
 from problems import shipped_sets
 
@@ -383,8 +383,8 @@ def test_cli_final_gap_weight(tmp_path, old, new, alpha):
     assert execute(rc, out_dir=str(out)) == 2
     summary = json.loads((out / "summary.json").read_text())
     p, final = config.build_problem(rc), np.array(summary["final_point"])
-    assert summary["final_gap"] == gap_value(GapModel(p, alpha=alpha), final, rc.solver)
-    assert summary["final_gap"] != gap_value(GapModel(p, alpha=1.0), final, rc.solver)
+    assert summary["final_gap"] == gap_value(p, final, replace(rc.solver, alpha=alpha))
+    assert summary["final_gap"] != gap_value(p, final, replace(rc.solver, alpha=1.0))
 
 
 def test_cli_input_errors(tmp_path, capsys):
@@ -442,6 +442,11 @@ def test_execute_rejects_negative_seed(tmp_path, capsys):
     assert execute(rc, out_dir=str(tmp_path / "out"), seed=-3) == 1
     err = capsys.readouterr().err
     assert err.startswith("proxequil: ") and "-3" in err
+    # a non-integer seed would reach the sampler of a lambda = auto run
+    auto = replace(rc, solver=replace(rc.solver, lam=None))
+    for seed in (1.5, 2.0):
+        assert execute(auto, out_dir=str(tmp_path / "out"), seed=seed) == 1
+        assert capsys.readouterr().err == f"proxequil: seed must be a nonnegative integer; got {seed!r}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -496,15 +501,38 @@ def test_execute_reports_build_errors(tmp_path, capsys, change, message):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("name, calls", [("ball_proximal", 590), ("annulus_inertial", 7177)])
-def test_shipped_runs_project_through_the_public_method(tmp_path, monkeypatch, name, calls):
+# Per shipped config: the calls to ConstraintSet.project, and to the solver
+# functions the benchmark tracer wraps, during execute(..., verify=True).
+_TRACED_CALLS = {
+    "ball_proximal": (590, dict(solve_subproblem=37, verify_subproblem_inequality=37, line_search=0, gap_value=1)),
+    "annulus_inertial": (7177, dict(solve_subproblem=287, verify_subproblem_inequality=287, line_search=0, gap_value=1)),
+    # 52 line-search probes and the final gap
+    "ball_descent": (109, dict(solve_subproblem=0, verify_subproblem_inequality=0, line_search=1, gap_value=53)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, calls, traced",
+    [pytest.param(name, calls, traced, id=f"{name}-{calls}") for name, (calls, traced) in _TRACED_CALLS.items()],
+)
+def test_shipped_runs_project_through_the_public_method(tmp_path, monkeypatch, name, calls, traced):
     """Every projection of a run goes through the public ConstraintSet.project,
-    which the benchmark wraps to count projections and inner sweeps."""
+    and every implicit step, step audit, line search and gap value through
+    its module global, which the benchmark wraps to count projections, inner
+    sweeps, subproblems, audited steps, line searches and probes."""
     project = ConstraintSet.project
     seen = []
     monkeypatch.setattr(ConstraintSet, "project", lambda s, x: seen.append(x) or project(s, x))
-    assert execute(parse_config(str(CONFIG_DIR / f"{name}.cfg")), out_dir=str(tmp_path / "out")) == 0
+    counts = dict.fromkeys(traced, 0)
+    for module in (schemes, gap, cli):
+        for fn in traced:
+            if hasattr(module, fn):
+                orig = getattr(module, fn)
+                monkeypatch.setattr(module, fn, lambda *a, fn=fn, orig=orig: counts.__setitem__(fn, counts[fn] + 1) or orig(*a))
+    rc = parse_config(str(CONFIG_DIR / f"{name}.cfg"))
+    assert execute(rc, out_dir=str(tmp_path / "out"), verify=True) == 0
     assert len(seen) == calls
+    assert counts == traced
 
 
 def test_verify_resolves_auto_lambda_once(tmp_path, monkeypatch):

@@ -12,7 +12,6 @@ from proxequil import (
     Ball,
     Bifunction,
     BoxMinusBall,
-    GapModel,
     MissingGradient,
     SolverConfig,
     Status,
@@ -49,25 +48,41 @@ def _zero_bifunction(dim):
 
 
 def test_alpha_resolution():
-    assert GapModel(ball_pull()).resolved_alpha == pytest.approx(1.0)
-    assert GapModel(ball_pull(), alpha=2.0).resolved_alpha == pytest.approx(2.0)
+    """SolverConfig.alpha is the gap weight as given; None gives k/r, and k
+    when r = inf. At the origin of the unit ball, T(u) = u - (2, 0) has the
+    best response P((2, 0) / alpha): w = (1, 0) and gap 2 - alpha / 2 for
+    alpha <= 2, w = (2 / alpha, 0) and gap 2 / alpha beyond."""
+    u = np.zeros(2)
+
+    def gap(p, alpha, u=u):
+        return gap_value(p, u, SolverConfig(alpha=alpha))
+
+    assert gap(ball_pull(), None) == gap(ball_pull(), 1.0) == pytest.approx(1.5, abs=1e-15)
+    assert gap(ball_pull(), 2.0) == pytest.approx(1.0, abs=1e-15)
+    assert gap(ball_pull(), 4.0) == pytest.approx(0.5, abs=1e-15)
     # r = inf has no k/r; the weight defaults to k
-    p = UREProblem(pull_bifunction([2.0, 0.0]), Ball(np.zeros(2), 1.0), k=3.0, r=math.inf)
-    assert GapModel(p).resolved_alpha == 3.0
-    assert GapModel(p, alpha=1.0).resolved_alpha == pytest.approx(1.0)
+    p = UREProblem(pull_bifunction([2.0, 0.0]), Ball(np.zeros(2), 1.0), k=4.0, r=math.inf)
+    assert gap(p, None) == gap(p, 4.0) == pytest.approx(0.5, abs=1e-15)
+    assert gap(p, 1.0) == pytest.approx(1.5, abs=1e-15)
+    np.testing.assert_allclose(w_map(p, u, SolverConfig()), [0.5, 0.0], atol=1e-15)
+    # the ball_descent start (0, -1): k/r = 1 gives w = (1, 0) and the gap 2;
+    # alpha = 5 gives w = (0, -1) - T(0, -1) / 5 = (0.4, -0.8), inside the
+    # ball, and the gap -(<(-2, -1), (0.4, 0.2)> + 2.5 ||(0.4, 0.2)||^2) = 0.5
+    start = np.array([0.0, -1.0])
+    assert gap(ball_pull(), None, start) == pytest.approx(2.0, abs=1e-12)
+    np.testing.assert_allclose(w_map(ball_pull(), start, SolverConfig(alpha=5.0)), [0.4, -0.8], atol=1e-12)
+    assert gap(ball_pull(), 5.0, start) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_wmap_pull_problem_is_constant():
     """For T(u) = u - p with alpha matching, w(u) = P(p) for every u."""
-    g = GapModel(ball_pull())
+    g = ball_pull()
     for u in ([1.0, 0.0], [0.0, -1.0], [-0.3, 0.4]):
         np.testing.assert_allclose(w_map(g, np.array(u), CFG), [1.0, 0.0], atol=1e-9)
 
 
 def test_wmap_zero_bifunction_is_identity():
-    g = GapModel(
-        UREProblem(_zero_bifunction(2), Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
-    )
+    g = UREProblem(_zero_bifunction(2), Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
     u = np.array([0.3, -0.4])
     np.testing.assert_allclose(w_map(g, u, CFG), u, atol=1e-9)
     assert abs(gap_value(g, u, CFG)) <= 1e-12
@@ -75,26 +90,25 @@ def test_wmap_zero_bifunction_is_identity():
 
 
 def test_gap_frozen_values():
-    g = GapModel(ball_pull())
+    g = ball_pull()
     # by hand: the inner minimum from (0, -1) is attained at w = (1, 0)
     # with value <(-2,-1), (1,1)> + 0.5*||(1,1)||^2 = -2
     assert gap_value(g, np.array([0.0, -1.0]), CFG) == pytest.approx(2.0, abs=1e-9)
     assert abs(gap_value(g, np.array([1.0, 0.0]), CFG)) <= 1e-10
 
-    g10 = GapModel(ball10_identity())
+    g10 = ball10_identity()
     u = np.array([0.5, 0.0])
     assert gap_value(g10, u, CFG) == pytest.approx(0.125, abs=1e-12)
     np.testing.assert_allclose(gap_gradient(g10, u, CFG), [0.5, 0.0], atol=1e-9)
 
-    ga = GapModel(annulus_pull_inner())
+    ga = annulus_pull_inner()
     assert gap_value(ga, np.array([0.0, 1.5]), CFG) == pytest.approx(0.825, abs=1e-9)
 
 
 def test_gap_nonnegative_sampled():
     for p in (ball_pull(), annulus_pull_inner(), ball10_identity(), two_ball_trap()):
-        g = GapModel(p)
         for u in p.feasible_set.sample(50, seed=13):
-            assert gap_value(g, u, CFG) >= -1e-10
+            assert gap_value(p, u, CFG) >= -1e-10
 
 
 def test_gap_zero_exactly_at_solutions():
@@ -105,31 +119,29 @@ def test_gap_zero_exactly_at_solutions():
         (two_ball_trap(), [-1.0, 0.0]),
     ]
     for p, u_star in cases:
-        assert gap_value(GapModel(p), np.array(u_star), CFG) <= 1e-8
+        assert gap_value(p, np.array(u_star), CFG) <= 1e-8
 
 
 def test_gap_large_away_from_solutions():
     p = ball_pull()
-    g = GapModel(p)
     count = 0
     for u in p.feasible_set.sample(40, seed=17):
         if problem_residual(p, u) < 1e-2:
             continue
         count += 1
-        assert gap_value(g, u, CFG) >= 1e-4
+        assert gap_value(p, u, CFG) >= 1e-4
     assert count >= 20
 
 
 def test_gap_matches_residual_at_matching_alpha():
     """With alpha = k/r the inner objectives coincide, so the values agree."""
     p = ball_pull()
-    g = GapModel(p)
     for u in p.feasible_set.sample(20, seed=23):
-        assert gap_value(g, u, CFG) == pytest.approx(problem_residual(p, u), abs=1e-9)
+        assert gap_value(p, u, CFG) == pytest.approx(problem_residual(p, u), abs=1e-9)
 
 
 def test_gap_gradient_matches_finite_differences():
-    g = GapModel(ball10_identity())
+    g = ball10_identity()
     rng = np.random.default_rng(29)
     for _ in range(10):
         u = rng.normal(size=2)
@@ -142,17 +154,16 @@ def test_gap_gradient_matches_finite_differences():
 def test_gap_gradient_requires_grad_u():
     f = Bifunction(eval=lambda u, v: float(-u @ (v - u)), grad_v=lambda u, v: -u)
     p = UREProblem(f, Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
-    g = GapModel(p)
     with pytest.raises(MissingGradient):
-        gap_gradient(g, np.array([0.5, 0.0]), CFG)
+        gap_gradient(p, np.array([0.5, 0.0]), CFG)
 
 
 @pytest.mark.parametrize(
     "merit",
     [
         lambda p, u: problem_residual(p, u),
-        lambda p, u: w_map(GapModel(p), u, CFG),
-        lambda p, u: gap_value(GapModel(p), u, CFG),
+        lambda p, u: w_map(p, u, CFG),
+        lambda p, u: gap_value(p, u, CFG),
     ],
     ids=["problem_residual", "w_map", "gap_value"],
 )
@@ -164,12 +175,12 @@ def test_best_response_needs_grad_v(merit):
 
 
 def test_necessary_condition_reports():
-    rep = check_necessary_condition(GapModel(ball_pull()), 200, 0)
+    rep = check_necessary_condition(ball_pull(), 200, 0)
     assert rep.passed
     assert rep.min_value > 0.0
     assert rep.n_pairs == 200
 
-    zero = GapModel(UREProblem(_zero_bifunction(2), Ball(np.zeros(2), 1.0), k=1.0, r=1.0))
+    zero = UREProblem(_zero_bifunction(2), Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
     rep0 = check_necessary_condition(zero, 100, 0)
     assert rep0.passed
     assert rep0.min_value == pytest.approx(0.0, abs=1e-12)
@@ -180,14 +191,13 @@ def test_necessary_condition_is_the_slope_of_the_affine_part():
     grad_v F = A^T (w - u), and the quadratic's two slope terms cancel."""
     A = np.array([[1.0, 3.0], [-1.0, 0.5]])
     s = Ball(np.zeros(2), 2.0)
-    g = GapModel(UREProblem(_affine(A, [0.3, -0.7]), s, k=1.0, r=1.0), alpha=5.0)
-    rep = check_necessary_condition(g, 300, 4)
+    rep = check_necessary_condition(UREProblem(_affine(A, [0.3, -0.7]), s, k=1.0, r=1.0), 300, 4)
     D = s.sample(300, 5) - s.sample(300, 4)
     assert abs(rep.min_value - np.min(np.einsum("ij,jk,ik->i", D, A, D))) <= 1e-12
 
 
 def test_line_search_quadratic_closed_form():
-    g = GapModel(ball10_identity())
+    g = ball10_identity()
     u = np.array([0.5, 0.0])
     # gap along u + t*(-u) is 0.125*(1-t)^2, minimized exactly at t = 1
     assert line_search(g, u, -u, CFG) == 1.0
@@ -197,7 +207,7 @@ def test_line_search_quadratic_closed_form():
 
 
 def test_line_search_projects_probes_across_annulus_hole():
-    g = GapModel(annulus_pull_inner())
+    g = annulus_pull_inner()
     u = np.array([2.0, 0.0])
     d = np.array([-4.0, 0.0])
     t = line_search(g, u, d, CFG)
@@ -205,7 +215,7 @@ def test_line_search_projects_probes_across_annulus_hole():
 
 
 def test_descent_frozen_trace_on_identity():
-    g = GapModel(ball10_identity())
+    g = ball10_identity()
     trace = descent_solve(g, CFG, np.array([0.5, 0.0]))
     assert trace.status is Status.CONVERGED
     assert trace.iterations == 1
@@ -218,7 +228,7 @@ def test_descent_frozen_trace_on_identity():
 
 
 def test_descent_converges_on_ball():
-    g = GapModel(ball_pull())
+    g = ball_pull()
     trace = descent_solve(g, CFG, np.array([0.0, -1.0]))
     assert trace.status is Status.CONVERGED
     np.testing.assert_allclose(trace.final_point, [1.0, 0.0], atol=1e-8)
@@ -226,7 +236,7 @@ def test_descent_converges_on_ball():
 
 
 def test_descent_gaps_monotone_on_annulus():
-    g = GapModel(annulus_pull_inner())
+    g = annulus_pull_inner()
     trace = descent_solve(g, CFG, np.array([0.0, 1.5]))
     assert trace.status is Status.CONVERGED
     gaps = [r.extras["gap"] for r in trace.records]
@@ -240,7 +250,7 @@ def test_descent_stops_at_the_iteration_budget():
     A = np.array([[1.0, 2.0], [-2.0, 1.0]])
     b = np.array([-2.0, 0.0])
     f = make_vi_bifunction(lambda u: np.asarray(u) @ A.T + b, lambda u: A)
-    g = GapModel(UREProblem(f, Ball(np.zeros(2), 1.0), k=1.0, r=1.0))
+    g = UREProblem(f, Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
     trace = descent_solve(g, replace(CFG, max_outer=2), np.array([0.0, -1.0]))
     assert trace.status is Status.MAX_ITERATIONS
     assert len(trace.records) == 3
@@ -277,7 +287,7 @@ _OUTSIDE_BEFORE = {
 @pytest.mark.parametrize("kind", sorted(_OUTSIDE_BEFORE))
 def test_descent_iterates_stay_in_the_set(kind):
     f, s, u0 = _OUTSIDE_BEFORE[kind]
-    g = GapModel(UREProblem(f, s, k=1.0, r=1.0))
+    g = UREProblem(f, s, k=1.0, r=1.0)
     trace = descent_solve(g, SolverConfig(), np.array(u0))
     assert trace.status is Status.CONVERGED
     for rec in trace.records:
@@ -300,11 +310,11 @@ def test_generic_best_response_reaches_the_closed_form(alpha, u):
     must still converge to the nearest-point answer P(u - T(u) / alpha)."""
     T, f = _plain_pull()
     s = Ball(np.zeros(2), 1.0)
-    g = GapModel(UREProblem(f, s, k=1.0, r=math.inf), alpha=alpha)
+    p = UREProblem(f, s, k=1.0, r=math.inf)
     u = np.array(u)
     w = s.project(u - T(u) / alpha)
     exact = -(T(u) @ (w - u) + 0.5 * alpha * (w - u) @ (w - u))
-    assert abs(gap_value(g, u, SolverConfig()) - exact) <= 1e-12
+    assert abs(gap_value(p, u, SolverConfig(alpha=alpha)) - exact) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -320,11 +330,11 @@ def test_closed_form_best_response_is_the_global_minimum(kind, d):
     f = _affine(np.eye(d) + 0.1 * (skew - skew.T), rng.uniform(-2.0, 2.0, d))
     p = UREProblem(f, s, k=1.0, r=min(1.0, s.prox_constant))
     alpha = 2.0 * p.kappa
-    closed = GapModel(p, alpha=alpha)
-    generic = GapModel(replace(p, bifunction=replace(f, vi_operator=None)), alpha=alpha)
+    generic = replace(p, bifunction=replace(f, vi_operator=None))
+    cfg = replace(CFG, alpha=alpha)
     for u in s.sample(6, seed=3):
-        m_closed = -gap_value(closed, u, CFG)
-        m_multi = -gap_value(generic, u, CFG)
+        m_closed = -gap_value(p, u, cfg)
+        m_multi = -gap_value(generic, u, cfg)
         assert m_closed <= m_multi + 1e-12
         if math.isinf(s.prox_constant):
             assert abs(m_closed - m_multi) <= 1e-9
@@ -337,12 +347,12 @@ def test_generic_paths_still_reach_multistart(monkeypatch):
     monkeypatch.setattr(model, "multistart_minimize", lambda *a: calls.append(1) or multistart(*a))
     p = ball_pull()
     u = np.array([0.0, -1.0])
-    gap_value(GapModel(p), u, CFG)
+    gap_value(p, u, CFG)
     problem_residual(p, u)
     assert calls == []
     problem_residual(replace(p, r=math.inf), u)
     assert len(calls) == 1
     plain = replace(p, bifunction=_plain_pull()[1])
-    gap_value(GapModel(plain), u, CFG)
+    gap_value(plain, u, CFG)
     problem_residual(plain, u)
     assert len(calls) == 3

@@ -214,6 +214,15 @@ def test_solver_config_validation():
         SolverConfig(outer_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_outer=0)
+    # budgets and the seed are counts: a float would reach range() or
+    # SeedSequence and fail there with a TypeError
+    for bad in (dict(max_outer=2.5), dict(max_inner=3.0), dict(max_outer=math.inf), dict(seed=1.5)):
+        (name, value), = bad.items()
+        with pytest.raises(ValueError, match=f"{name} must be an integer; got {value!r}"):
+            SolverConfig(**bad)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            replace(SolverConfig(), **bad)
+    assert SolverConfig(max_outer=np.int64(3), seed=np.int64(2)).max_outer == 3
 
 
 def test_problem_residual_frozen():

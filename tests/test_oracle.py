@@ -7,6 +7,7 @@ analytic solutions of the shipped problems exactly on grid nodes.
 """
 
 import ast
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -236,8 +237,9 @@ def test_custom_box_restricts_search():
 
 
 def test_grid_guards():
-    with pytest.raises(ValueError):
-        GridSpec(1)
+    for bad in (1, 3.0, 2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"resolution must be an integer >= 2; got "):
+            GridSpec(bad)
     with pytest.raises(GridTooLarge):
         grid_solve(
             UREProblem(pull_bifunction([0.0] * 4), Ball(np.zeros(4), 1.0), k=1.0, r=1.0),

@@ -1,6 +1,7 @@
 """Iteration schemes: subproblem, proximal, inertial, explicit, Fejér check."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,14 +10,12 @@ import pytest
 from proxequil import (
     Ball,
     Bifunction,
-    GapModel,
     MissingGradient,
     EmptyTrace,
     PointNotInSet,
     SolverConfig,
     Status,
     SubproblemFailed,
-    SubproblemSpec,
     Trace,
     TraceRecord,
     UREProblem,
@@ -34,6 +33,7 @@ from proxequil import (
     verify_subproblem_inequality,
     w_map,
 )
+from proxequil.schemes import _base_point
 from problems import (
     annulus_pull_inner,
     annulus_pull_outer,
@@ -46,11 +46,21 @@ SOLUTION = np.array([1.0, 0.0])
 
 
 def test_subproblem_fixed_at_solution():
-    p = ball_pull()
-    spec = SubproblemSpec(p, SOLUTION, SOLUTION, lam=0.5, gamma_n=0.2)
-    np.testing.assert_allclose(spec.base_point, SOLUTION, atol=0)
-    w = solve_subproblem(spec, SolverConfig(lam=0.5))
+    cfg = SolverConfig(lam=0.5, gamma=0.2)
+    np.testing.assert_allclose(_base_point(ball_pull(), SOLUTION, SOLUTION, cfg)[1], SOLUTION, atol=0)
+    w = solve_subproblem(ball_pull(), SOLUTION, SOLUTION, cfg)
     np.testing.assert_allclose(w, SOLUTION, atol=1e-10)
+
+
+def test_subproblem_needs_a_step_size():
+    """lam = None is SolverConfig's request for the default step; the
+    implicit step itself has no default and says so."""
+    for check in (
+        lambda cfg: solve_subproblem(ball_pull(), U0, U0, cfg),
+        lambda cfg: verify_subproblem_inequality(ball_pull(), U0, U0, U0, cfg),
+    ):
+        with pytest.raises(ValueError, match="cfg.lam is None"):
+            check(SolverConfig())
 
 
 def test_subproblem_frozen_value():
@@ -60,16 +70,15 @@ def test_subproblem_frozen_value():
     update w <- z - (lam/(1+kappa))(w - 2) has fixed point (3z + 2)/4.
     """
     p = annulus_pull_outer()
-    spec = SubproblemSpec(
-        p, np.array([1.5, 0.0]), np.array([1.4, 0.0]), lam=0.5, gamma_n=0.2
-    )
+    step = (p, np.array([1.5, 0.0]), np.array([1.4, 0.0]))
+    cfg = SolverConfig(lam=0.5, gamma=0.2)
     z_expected = 1.5 - (0.2 / 1.5) * 0.1
-    np.testing.assert_allclose(spec.base_point, [z_expected, 0.0], atol=1e-15)
-    w = solve_subproblem(spec, SolverConfig(lam=0.5))
+    np.testing.assert_allclose(_base_point(*step, cfg)[1], [z_expected, 0.0], atol=1e-15)
+    w = solve_subproblem(*step, cfg)
     np.testing.assert_allclose(w, [(3.0 * z_expected + 2.0) / 4.0, 0.0], atol=5e-12)
     np.testing.assert_allclose(w, [1.615, 0.0], atol=5e-12)
 
-    chk = verify_subproblem_inequality(spec, w)
+    chk = verify_subproblem_inequality(*step, w, cfg)
     assert chk.passed
     assert chk.worst_violation <= 1e-8
     assert chk.n_samples == 10000
@@ -79,21 +88,19 @@ def _audit_steps():
     """A proximal step on the ball, which the audit passes, and an inertial
     step from the annulus's inner rim, which it fails at points across the
     hole (the set is not convex)."""
-    ball = SubproblemSpec(ball_pull(), U0, U0, lam=0.5, gamma_n=0.0)
-    annulus = SubproblemSpec(
-        annulus_pull_inner(), np.array([0.0, 1.0]), np.array([0.0, 1.2]), lam=0.5, gamma_n=0.2
-    )
-    return [(spec, solve_subproblem(spec, SolverConfig(lam=0.5))) for spec in (ball, annulus)]
+    ball = (ball_pull(), U0, U0, SolverConfig(lam=0.5, gamma=0.0))
+    annulus = (annulus_pull_inner(), np.array([0.0, 1.0]), np.array([0.0, 1.2]), SolverConfig(lam=0.5, gamma=0.2))
+    return [(step, solve_subproblem(*step)) for step in (ball, annulus)]
 
 
 @pytest.mark.parametrize("step", [0, 1], ids=["ball_proximal", "annulus_inertial"])
 def test_verify_matches_scalar_loop(step):
-    spec, w = _audit_steps()[step]
-    chk = verify_subproblem_inequality(spec, w, seed=4)
-    f, z = spec.problem.bifunction, spec.base_point
+    (p, u_n, u_prev, cfg), w = _audit_steps()[step]
+    chk = verify_subproblem_inequality(p, u_n, u_prev, w, replace(cfg, seed=4))
+    f, z = p.bifunction, u_n - (cfg.gamma / (1.0 + p.kappa)) * (u_n - u_prev)
     worst, worst_v = -np.inf, w
-    for v in spec.problem.feasible_set.sample(10000, 4):
-        val = spec.lam * f(w, v) + (1.0 + spec.kappa) * float((w - z) @ (v - w))
+    for v in p.feasible_set.sample(10000, 4):
+        val = cfg.lam * f(w, v) + (1.0 + p.kappa) * float((w - z) @ (v - w))
         if -val > worst:
             worst, worst_v = -val, v
     assert chk.passed == (worst <= 1e-8)
@@ -111,14 +118,14 @@ def test_verify_makes_no_per_sample_calls(monkeypatch):
         return plain_call(self, u, v)
 
     monkeypatch.setattr(Bifunction, "__call__", counted)
-    for spec, w in _audit_steps():
-        verify_subproblem_inequality(spec, w)
+    for (p, u_n, u_prev, cfg), w in _audit_steps():
+        verify_subproblem_inequality(p, u_n, u_prev, w, cfg)
     assert calls == []
 
 
 def test_verify_draws_once_per_set_and_seed(monkeypatch):
-    spec, w = _audit_steps()[1]
-    s = spec.problem.feasible_set
+    (p, u_n, u_prev, cfg), w = _audit_steps()[1]
+    s = p.feasible_set
     draws = []
     plain_sample = type(s).sample
 
@@ -127,28 +134,26 @@ def test_verify_draws_once_per_set_and_seed(monkeypatch):
         return plain_sample(self, n, seed)
 
     monkeypatch.setattr(type(s), "sample", counted)
-    first = verify_subproblem_inequality(spec, w, seed=6)
-    again = verify_subproblem_inequality(spec, w, seed=6)
+    first = verify_subproblem_inequality(p, u_n, u_prev, w, replace(cfg, seed=6))
+    again = verify_subproblem_inequality(p, u_n, u_prev, w, replace(cfg, seed=6))
     assert draws == [(10000, 6)]
     assert (again.passed, again.worst_violation) == (first.passed, first.worst_violation)
     np.testing.assert_array_equal(again.worst_point, first.worst_point)
-    verify_subproblem_inequality(spec, w, seed=7)
+    verify_subproblem_inequality(p, u_n, u_prev, w, replace(cfg, seed=7))
     assert draws == [(10000, 6), (10000, 7)]
 
 
 def test_subproblem_kappa_zero_gamma_zero():
     """With r = inf and no inertia the update is w <- P[u_n - lam*T(w)]."""
     p = UREProblem(pull_bifunction([2.0, 0.0]), Ball(np.zeros(2), 1.0), k=1.0, r=math.inf)
-    spec = SubproblemSpec(p, np.zeros(2), np.zeros(2), lam=0.5, gamma_n=0.0)
-    w = solve_subproblem(spec, SolverConfig(lam=0.5))
+    w = solve_subproblem(p, np.zeros(2), np.zeros(2), SolverConfig(lam=0.5, gamma=0.0))
     # w = -0.5*(w - 2) solves to w = 2/3, interior so the projection is inert
     np.testing.assert_allclose(w, [2.0 / 3.0, 0.0], atol=1e-11)
 
 
 def test_subproblem_budget_exhaustion():
-    spec = SubproblemSpec(ball_pull(), U0, U0, lam=0.5, gamma_n=0.0)
     with pytest.raises(SubproblemFailed):
-        solve_subproblem(spec, SolverConfig(lam=0.5, max_inner=1))
+        solve_subproblem(ball_pull(), U0, U0, SolverConfig(lam=0.5, gamma=0.0, max_inner=1))
 
 
 def test_proximal_converges_on_ball():
@@ -226,7 +231,7 @@ def test_gamma_zero_inertial_equals_proximal_exactly():
     p = ball_pull()
     cfg = SolverConfig(lam=0.5)
     a = proximal_solve(p, cfg, U0)
-    b = inertial_proximal_solve(p, cfg, U0, gamma_schedule=lambda n: 0.0)
+    b = inertial_proximal_solve(p, replace(cfg, gamma=0.0), U0)
     assert a.status is b.status
     assert len(a.records) == len(b.records)
     for ra, rb in zip(a.records, b.records):
@@ -234,15 +239,6 @@ def test_gamma_zero_inertial_equals_proximal_exactly():
         assert ra.step_norm == rb.step_norm
         assert ra.residual == rb.residual
         assert ra.point.tobytes() == rb.point.tobytes()
-
-
-def test_gamma_schedule_callable():
-    p = ball_pull()
-    trace = inertial_proximal_solve(
-        p, SolverConfig(lam=0.5), U0, gamma_schedule=lambda n: 0.3 / (n + 1)
-    )
-    assert trace.status is Status.CONVERGED
-    np.testing.assert_allclose(trace.final_point, SOLUTION, atol=1e-6)
 
 
 def test_distance_to_solution_monotone_when_convex():
@@ -340,7 +336,7 @@ _SOLVERS = {
     "proximal": proximal_solve,
     "inertial": inertial_proximal_solve,
     "explicit": explicit_solve,
-    "descent": lambda p, cfg, u0: descent_solve(GapModel(p), cfg, u0),
+    "descent": descent_solve,
 }
 
 
@@ -354,6 +350,7 @@ def test_infeasible_start_fails_before_sampling(solve):
 
 
 _OUTSIDE = np.array([5.0, 5.0])
+_STEP = SolverConfig(lam=0.5, gamma=0.0)
 
 
 def _parse_outside_start(tmp_path):
@@ -367,12 +364,14 @@ def _parse_outside_start(tmp_path):
 # the name its message gives the point)
 _MEMBERSHIP_ENTRY_POINTS = [
     ("problem_residual", lambda p, tmp: problem_residual(p, _OUTSIDE), PointNotInSet, "u"),
-    ("w_map", lambda p, tmp: w_map(GapModel(p), _OUTSIDE, SolverConfig()), PointNotInSet, "u"),
-    ("gap_value", lambda p, tmp: gap_value(GapModel(p), _OUTSIDE, SolverConfig()), PointNotInSet, "u"),
+    ("w_map", lambda p, tmp: w_map(p, _OUTSIDE, SolverConfig()), PointNotInSet, "u"),
+    ("gap_value", lambda p, tmp: gap_value(p, _OUTSIDE, SolverConfig()), PointNotInSet, "u"),
     *[(name, lambda p, tmp, solve=solve: solve(p, SolverConfig(), _OUTSIDE), PointNotInSet, "u0")
       for name, solve in _SOLVERS.items()],
-    ("spec-u_n", lambda p, tmp: SubproblemSpec(p, _OUTSIDE, U0, 0.5, 0.0), PointNotInSet, "u_n"),
-    ("spec-u_prev", lambda p, tmp: SubproblemSpec(p, U0, _OUTSIDE, 0.5, 0.0), PointNotInSet, "u_prev"),
+    ("solve_subproblem-u_n", lambda p, tmp: solve_subproblem(p, _OUTSIDE, U0, _STEP), PointNotInSet, "u_n"),
+    ("solve_subproblem-u_prev", lambda p, tmp: solve_subproblem(p, U0, _OUTSIDE, _STEP), PointNotInSet, "u_prev"),
+    ("verify-u_n", lambda p, tmp: verify_subproblem_inequality(p, _OUTSIDE, U0, U0, _STEP), PointNotInSet, "u_n"),
+    ("verify-u_prev", lambda p, tmp: verify_subproblem_inequality(p, U0, _OUTSIDE, U0, _STEP), PointNotInSet, "u_prev"),
     ("proximal_normal_check",
      lambda p, tmp: p.feasible_set.proximal_normal_check(_OUTSIDE, np.array([1.0, 0.0])), PointNotInSet, "u"),
     ("parse_config", lambda p, tmp: _parse_outside_start(tmp), ValidationError, "problem.start"),
