@@ -6,6 +6,11 @@ allowed, every key known, no duplicates. Vectors are comma-separated numbers,
 matrices use `;` between rows, `auto` leaves a tunable to its heuristic, and
 every number is finite except the literal `inf` of problem.r.
 parse_config(emit_config written to a file) reproduces the RunConfig exactly.
+
+A run's values are checked on one path, _validate, which reads the rules of
+_KEY_RULES (SolverConfig's among them) by config key. parse_config runs it on
+a file's pairs; build_problem runs it on _pairs(rc), the pairs emit_config
+writes, so a RunConfig built in Python gets the file's checks and messages.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import numpy as np
 from .errors import ParseError, ProxequilError, ValidationError
 from .geometry import SET_KINDS, ConstraintSet
 from .model import Bifunction, SolverConfig, UREProblem, make_vi_bifunction
+from .model import _SOLVER_RULES, _broken_rules
 
 SCHEMES = ("proximal", "inertial", "explicit", "descent")
 BIFUNCTION_KINDS = ("affine_vi", "zero")
@@ -32,6 +38,27 @@ _FIELD_TYPES = {"Array": "vector", "float": "scalar", "float | None": "scalar_or
 _SOLVER_KEYS = {
     f.name: "solver.lambda" if f.name == "lam" else f"solver.{f.name}" for f in fields(SolverConfig)
 }
+
+
+def _one_of(key: str, allowed) -> tuple:
+    return (key, f"must be one of {', '.join(allowed)}", lambda v: v in allowed)
+
+
+# model._SOLVER_RULES by config key, and the rules of the other keys but the
+# problem.set.* values, which the set constructors check
+_KEY_RULES = (
+    _one_of("scheme", SCHEMES),
+    _one_of("problem.bifunction.kind", BIFUNCTION_KINDS),
+    _one_of("problem.set.kind", sorted(SET_KINDS)),
+    ("problem.k", "must be finite", math.isfinite),
+    ("problem.k", "must be positive", lambda v: v > 0),
+    ("problem.r", "must be positive", lambda v: v > 0),
+    *((_SOLVER_KEYS[name], phrase, test) for name, phrase, test in _SOLVER_RULES),
+    ("oracle.tol", "must be finite", math.isfinite),
+    ("oracle.tol", "must be positive", lambda v: v > 0),
+    ("oracle.resolution", "must be an integer", lambda v: isinstance(v, numbers.Integral)),
+    ("oracle.resolution", "is too small", lambda v: v >= 2),
+)
 
 # RunConfig field -> (config key, value type), in emission order; the
 # problem.set.* and solver.* keys of set_params and solver follow
@@ -110,48 +137,40 @@ def _parse_vector(text: str) -> tuple[float, ...]:
     return tuple(_parse_scalar(p) for p in parts)
 
 
-def _parse_value(key: str, text: str):
-    vtype = _SCHEMA[key]
-    if vtype == "string":
-        return text
-    if vtype == "bool":
-        if text not in ("true", "false"):
-            raise ValueError("expected true or false")
-        return text == "true"
-    if vtype == "int":
-        return int(text)
-    if vtype == "scalar":
-        return _parse_scalar(text)
-    if vtype == "scalar_or_inf":
-        return math.inf if text == "inf" else _parse_scalar(text)
-    if vtype == "scalar_or_auto":
-        return None if text == "auto" else _parse_scalar(text)
-    if vtype == "vector":
-        return _parse_vector(text)
-    if vtype == "matrix":
-        return tuple(_parse_vector(row) for row in text.split(";"))
-    raise AssertionError(f"unhandled value type {vtype}")
+def _parse_bool(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text == "true"
 
 
-def _fmt_value(key: str, value) -> str:
-    vtype = _SCHEMA[key]
-    if vtype == "string":
-        return str(value)
-    if vtype == "bool":
-        return "true" if value else "false"
-    if vtype == "int":
-        return repr(int(value))
-    if vtype == "scalar":
-        return repr(float(value))
-    if vtype == "scalar_or_inf":
-        return "inf" if math.isinf(value) else repr(float(value))
-    if vtype == "scalar_or_auto":
-        return "auto" if value is None else repr(float(value))
-    if vtype == "vector":
-        return ", ".join(repr(float(x)) for x in value)
-    if vtype == "matrix":
-        return "; ".join(", ".join(repr(float(x)) for x in row) for row in value)
-    raise AssertionError(f"unhandled value type {vtype}")
+def _fmt_scalar(x) -> str:
+    return repr(float(x))
+
+
+def _fmt_vector(v) -> str:
+    return ", ".join(map(_fmt_scalar, v))
+
+
+# value type -> (parse, format); parse raises ValueError on bad text
+_CODECS = {
+    "string": (str, str),
+    "bool": (_parse_bool, lambda b: "true" if b else "false"),
+    "int": (int, lambda n: repr(int(n))),
+    "scalar": (_parse_scalar, _fmt_scalar),
+    "scalar_or_inf": (
+        lambda t: math.inf if t == "inf" else _parse_scalar(t),
+        lambda x: "inf" if math.isinf(x) else _fmt_scalar(x),
+    ),
+    "scalar_or_auto": (
+        lambda t: None if t == "auto" else _parse_scalar(t),
+        lambda x: "auto" if x is None else _fmt_scalar(x),
+    ),
+    "vector": (_parse_vector, _fmt_vector),
+    "matrix": (
+        lambda t: tuple(_parse_vector(row) for row in t.split(";")),
+        lambda m: "; ".join(map(_fmt_vector, m)),
+    ),
+}
 
 
 def _read_pairs(path: str) -> dict[str, object]:
@@ -171,88 +190,50 @@ def _read_pairs(path: str) -> dict[str, object]:
             if key in pairs:
                 raise ParseError(f"{path}:{lineno}: duplicate key {key!r}")
             try:
-                pairs[key] = _parse_value(key, text)
+                pairs[key] = _CODECS[_SCHEMA[key]][0](text)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return pairs
 
 
-def _one_of(key: str, value, allowed) -> list[str]:
-    """The message for a value of key that is not in allowed, if it is not."""
-    return [] if value in allowed else [f"{key} must be one of {', '.join(allowed)}; got {value!r}"]
-
-
-def _set_field_problems(kind: str, names) -> list[str]:
-    """One message for a kind that is not in SET_KINDS; else one per field
-    the set kind needs and names lacks, then one per name it does not take."""
-    if kind not in SET_KINDS:
-        return _one_of("problem.set.kind", kind, sorted(SET_KINDS))
-    wanted = [f.name for f in fields(SET_KINDS[kind])]
-    return [f"set kind {kind} needs problem.set.{n}" for n in wanted if n not in names] + [
-        f"set kind {kind} does not take problem.set.{n}" for n in names if n not in wanted
-    ]
-
-
 def _validate(pairs: dict[str, object], problems: list[str]) -> None:
-    for key in _REQUIRED:
-        if key not in pairs:
-            problems.append(f"missing required key {key}")
-    scheme = pairs.get("scheme")
-    if scheme is not None:
-        problems.extend(_one_of("scheme", scheme, SCHEMES))
+    """Append a message to problems for each broken rule of a run's key ->
+    value pairs: those of a config file, or _pairs(rc) of a RunConfig. The
+    messages follow a fixed order of keys, so a file's ValidationError keeps
+    its text."""
+    broken = _broken_rules(_KEY_RULES, pairs)
+
+    def report(*keys):
+        problems.extend(f"{key} {broken.pop(key)}" for key in keys if key in broken)
+
+    problems.extend(f"missing required key {key}" for key in _REQUIRED if key not in pairs)
+    report("scheme", "problem.bifunction.kind")
     bkind = pairs.get("problem.bifunction.kind")
-    if bkind is not None:
-        problems.extend(_one_of("problem.bifunction.kind", bkind, BIFUNCTION_KINDS))
     if bkind == "affine_vi" and "problem.bifunction.matrix" not in pairs:
         problems.append("affine_vi needs problem.bifunction.matrix")
     if bkind == "zero":
         for key in ("problem.bifunction.matrix", "problem.bifunction.offset"):
             if key in pairs:
                 problems.append(f"bifunction kind zero does not take {key}")
-    k = pairs.get("problem.k")
-    if k is not None and not k > 0:
-        problems.append(f"problem.k must be positive; got {k!r}")
-    r = pairs.get("problem.r")
-    if r is not None and not r > 0:
-        problems.append(f"problem.r must be positive; got {r!r}")
+    report("problem.k", "problem.r", "problem.set.kind")
     skind = pairs.get("problem.set.kind")
-    if skind is not None:
+    if skind in SET_KINDS:
+        wanted = [f.name for f in fields(SET_KINDS[skind])]
         given = [key[len("problem.set.") :] for key in pairs if key.startswith("problem.set.")]
-        problems.extend(_set_field_problems(skind, [name for name in given if name != "kind"]))
-    for key, positive in (
-        ("solver.gamma", False),
-        ("solver.outer_tol", True),
-        ("solver.inner_tol", True),
-        ("solver.line_search_tol", True),
-        ("oracle.tol", True),
-    ):
-        val = pairs.get(key)
-        if val is not None:
-            if positive and not val > 0:
-                problems.append(f"{key} must be positive; got {val!r}")
-            if not positive and not 0.0 <= val < 1.0:
-                problems.append(f"{key} must lie in [0, 1); got {val!r}")
-    lam = pairs.get("solver.lambda")
-    if lam is not None and not lam > 0:
-        problems.append(f"solver.lambda must be positive or auto; got {lam!r}")
-    alpha = pairs.get("solver.alpha")
-    if alpha is not None and not alpha > 0:
-        problems.append(f"solver.alpha must be positive or auto; got {alpha!r}")
-    seed = pairs.get("solver.seed")
-    if seed is not None and seed < 0:
-        problems.append(f"solver.seed must be nonnegative; got {seed!r}")
-    for key in ("solver.max_outer", "solver.max_inner", "oracle.resolution"):
-        val = pairs.get(key)
-        if val is not None and val < (2 if key == "oracle.resolution" else 1):
-            problems.append(f"{key} is too small; got {val!r}")
+        given.remove("kind")
+        problems.extend(f"set kind {skind} needs problem.set.{n}" for n in wanted if n not in given)
+        problems.extend(f"set kind {skind} does not take problem.set.{n}" for n in given if n not in wanted)
+    report("solver.gamma", "solver.outer_tol", "solver.inner_tol", "solver.line_search_tol", "oracle.tol")
+    report(*broken)  # the rest, in rule order
 
 
 def parse_config(path: str) -> RunConfig:
     """Read, type-check, and fully validate a config file.
 
     Syntax problems (unknown or duplicate keys, malformed values) raise
-    ParseError pointing at the line; semantic problems are collected and
-    raised together as one ValidationError.
+    ParseError pointing at the line; the problems _validate finds are
+    collected and raised together as one ValidationError, as is a problem
+    build_problem finds in the RunConfig.
     """
     pairs = _read_pairs(path)
     problems: list[str] = []
@@ -275,30 +256,27 @@ def parse_config(path: str) -> RunConfig:
     return rc
 
 
-def emit_config(rc: RunConfig) -> str:
-    """Render a RunConfig as config-file text that parses back equal.
-
-    A field left at None (no bifunction matrix or offset) writes no line.
-    """
-    lines = []
+def _pairs(rc: RunConfig) -> dict[str, object]:
+    """rc as config key -> value, in emission order. A field left at None
+    (no bifunction matrix or offset) has no key."""
+    pairs: dict[str, object] = {}
     for name, (key, _) in _RUN_KEYS.items():
         value = getattr(rc, name)
         if value is not None:
-            lines.append((key, value))
+            pairs[key] = value
         if name == "set_kind":
-            lines.extend((f"problem.set.{n}", v) for n, v in rc.set_params)
-            lines.extend((k, getattr(rc.solver, n)) for n, k in _SOLVER_KEYS.items())
-    return "".join(f"{key} = {_fmt_value(key, value)}\n" for key, value in lines)
+            pairs.update((f"problem.set.{n}", v) for n, v in rc.set_params)
+            pairs.update((k, getattr(rc.solver, n)) for n, k in _SOLVER_KEYS.items())
+    return pairs
+
+
+def emit_config(rc: RunConfig) -> str:
+    """Render a RunConfig as config-file text that parses back equal."""
+    return "".join(f"{key} = {_CODECS[_SCHEMA[key]][1](value)}\n" for key, value in _pairs(rc).items())
 
 
 def build_set(rc: RunConfig) -> ConstraintSet:
-    """The set rc describes; a ValueError with parse_config's messages for an
-    unknown kind or wrong fields."""
-    params = dict(rc.set_params)
-    problems = _set_field_problems(rc.set_kind, params)
-    if problems:
-        raise ValueError("; ".join(problems))
-    return SET_KINDS[rc.set_kind](**params)
+    return SET_KINDS[rc.set_kind](**dict(rc.set_params))
 
 
 def build_bifunction(rc: RunConfig) -> Bifunction:
@@ -327,23 +305,21 @@ def build_bifunction(rc: RunConfig) -> Bifunction:
 
 
 def build_problem(rc: RunConfig) -> UREProblem:
-    """The problem rc describes; a ValueError of its own or of a constructor
-    it calls is reported as a ValidationError. It also rejects a scheme not
-    in SCHEMES, so that a RunConfig made in Python names a solver, and an
-    oracle resolution that is not an integer of at least 2, which
-    parse_config cannot produce."""
+    """The problem rc describes, held to the checks of a config file: the
+    problems _validate finds in _pairs(rc) raise a ValidationError with
+    parse_config's messages, and so does a ValueError or TypeError of a
+    constructor build_problem calls (a set field named kind, which no config
+    key can hold, reaches the set class)."""
+    problems: list[str] = []
+    _validate(_pairs(rc), problems)
+    if problems:
+        raise ValidationError(problems)
     try:
-        if rc.scheme not in SCHEMES:
-            raise ValueError(_one_of("scheme", rc.scheme, SCHEMES)[0])
-        if not isinstance(rc.oracle_resolution, numbers.Integral):
-            raise ValueError(f"oracle.resolution must be an integer; got {rc.oracle_resolution!r}")
-        if rc.oracle_resolution < 2:
-            raise ValueError(f"oracle.resolution is too small; got {rc.oracle_resolution!r}")
         s = build_set(rc)
         if len(rc.start) != s.dim:
             raise ValueError(f"problem.start has dimension {len(rc.start)}, the set expects {s.dim}")
         p = UREProblem(bifunction=build_bifunction(rc), feasible_set=s, k=rc.k, r=rc.r)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError([str(exc)]) from exc
     s.member(rc.start, "problem.start")
     return p

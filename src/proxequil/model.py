@@ -159,6 +159,36 @@ class UREProblem:
         return self.feasible_set.dim
 
 
+# SolverConfig's rules as (field, phrase, test); a field fails at its first
+# broken rule. SolverConfig raises the first failure, named by its field;
+# config._validate reports every failure, named by its config key.
+_SOLVER_RULES = (
+    ("lam", "must be finite", lambda v: v is None or math.isfinite(v)),
+    ("lam", "must be positive or auto", lambda v: v is None or v > 0),
+    ("gamma", "must lie in [0, 1)", lambda v: 0.0 <= v < 1.0),
+    ("alpha", "must be finite", lambda v: v is None or math.isfinite(v)),
+    ("alpha", "must be positive or auto", lambda v: v is None or v > 0),
+    *((tol, phrase, test)
+      for tol in ("outer_tol", "inner_tol", "line_search_tol")
+      for phrase, test in (("must be finite", math.isfinite), ("must be positive", lambda v: v > 0))),
+    *((count, "must be an integer", lambda v: isinstance(v, numbers.Integral))
+      for count in ("seed", "max_outer", "max_inner")),
+    ("seed", "must be nonnegative", lambda v: v >= 0),
+    ("max_outer", "is too small", lambda v: v >= 1),
+    ("max_inner", "is too small", lambda v: v >= 1),
+)
+
+
+def _broken_rules(rules, values) -> dict[str, str]:
+    """name -> "<phrase>; got <value>" of the first broken rule of each name
+    in values, in the order of the rules that broke."""
+    broken: dict[str, str] = {}
+    for name, phrase, test in rules:
+        if name in values and name not in broken and not test(values[name]):
+            broken[name] = f"{phrase}; got {values[name]!r}"
+    return broken
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Knobs shared by the iterative schemes, and the one home of the
@@ -167,8 +197,9 @@ class SolverConfig:
 
     lam=None asks each scheme to pick a step from a finite-difference
     Lipschitz estimate of the second-slot gradient; alpha=None lets the gap
-    machinery default the gap weight to k/r (k when r = inf). The budgets
-    and the seed must be integers.
+    machinery default the gap weight to k/r (k when r = inf). The first
+    broken rule of _SOLVER_RULES raises ValueError("<field> <rule>; got
+    <value>").
     """
 
     lam: float | None = None
@@ -182,22 +213,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam is not None and not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError("gamma must lie in [0, 1)")
-        if self.alpha is not None and not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        for name in ("outer_tol", "inner_tol", "line_search_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("max_outer", "max_inner", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer; got {getattr(self, name)!r}")
-        if self.max_outer < 1 or self.max_inner < 1:
-            raise ValueError("iteration budgets must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for name, message in _broken_rules(_SOLVER_RULES, vars(self)).items():
+            raise ValueError(f"{name} {message}")  # the first
 
 
 def _best_response(

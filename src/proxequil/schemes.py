@@ -109,10 +109,9 @@ def default_step_size(problem: UREProblem, seed: int = 0) -> float:
     return 0.5 / (1.0 + L)
 
 
-def _natural_residual(problem: UREProblem, u: Array, lam: float) -> float:
-    f = problem.bifunction
-    moved = problem.feasible_set.project(u - lam * f.grad_v(u, u))
-    return _norm(u - moved)
+def _explicit_step(problem: UREProblem, u: Array, lam: float) -> Array:
+    """The explicit step P[u - lam grad_v F(u, u)] from u."""
+    return problem.feasible_set.project(u - lam * problem.bifunction.grad_v(u, u))
 
 
 def _resolve_lam(problem: UREProblem, cfg: SolverConfig) -> float:
@@ -151,8 +150,9 @@ def _iterate(cfg: SolverConfig, u0: Array, measure: _Measure, advance: Callable[
 
 
 def _residual_measure(problem: UREProblem, lam: float) -> _Measure:
-    """The fixed-point schemes' measure: the natural residual, never done."""
-    return lambda u: (_natural_residual(problem, u, lam), {}, False)
+    """The implicit schemes' measure: the natural residual
+    ||u - P[u - lam grad_v F(u, u)]||, never done."""
+    return lambda u: (_norm(u - _explicit_step(problem, u, lam)), {}, False)
 
 
 def inertial_proximal_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
@@ -177,13 +177,17 @@ def explicit_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
     """Explicit scheme u_{n+1} = P[u_n - lam grad_v F(u_n, u_n)]."""
     u0 = problem.feasible_set.member(u0, "u0")
     lam = _resolve_lam(problem, cfg)
-    grad_v = problem.bifunction.grad_v
-    project = problem.feasible_set.project
+    moved = None  # the explicit step from the iterate measured last
+
+    def measure(u: Array) -> tuple[float, dict[str, float], bool]:
+        nonlocal moved
+        moved = _explicit_step(problem, u, lam)
+        return _norm(u - moved), {}, False
 
     def advance(n: int, u_n: Array, u_prev: Array) -> Array:
-        return project(u_n - lam * grad_v(u_n, u_n))
+        return moved
 
-    return _iterate(cfg, u0, _residual_measure(problem, lam), advance)
+    return _iterate(cfg, u0, measure, advance)
 
 
 @dataclass(frozen=True, eq=False)

@@ -450,54 +450,90 @@ def test_execute_rejects_negative_seed(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize(
-    "change, message",
-    [
-        (dict(start=(0.0, -1.0, 0.0)), "problem.start has dimension 3, the set expects 2"),
-        (dict(k=-1.0), "k must be positive"),
-        (dict(set_params=(("center", (0.0, 0.0)), ("radius", -1.0))), "radius must be positive"),
-        (dict(start=(0.0, -3.0)), "problem.start is not in the feasible set"),
-        (
-            dict(set_params=(("center", (0.0, 0.0)), ("inner_radius", 0.5), ("radius", 1.0))),
-            "set kind ball does not take problem.set.inner_radius",
-        ),
-        (dict(set_params=(("center", (0.0, 0.0)),)), "set kind ball needs problem.set.radius"),
-        (dict(set_params=(("center", (0.0, 0.0)), ("radius", math.nan))), "radius is NaN or infinite"),
-        (
-            dict(set_kind="blob"),
-            "problem.set.kind must be one of annulus, ball, box, box_minus_ball, halfspace, sphere, "
-            "two_ball_union; got 'blob'",
-        ),
-        (dict(scheme="blob"), "scheme must be one of proximal, inertial, explicit, descent; got 'blob'"),
-        (dict(oracle_resolution=1), "oracle.resolution is too small; got 1"),
-        (dict(oracle_resolution=2.5), "oracle.resolution must be an integer; got 2.5"),
-        (dict(oracle_resolution=math.nan), "oracle.resolution must be an integer; got nan"),
-        (dict(oracle_resolution=math.inf), "oracle.resolution must be an integer; got inf"),
-        (dict(oracle_resolution=3.0), "oracle.resolution must be an integer; got 3.0"),
-    ],
-    ids=[
-        "start-dimension",
-        "negative-k",
-        "negative-radius",
-        "start-outside",
-        "extra-field",
-        "missing-field",
-        "nan-radius",
-        "unknown-set-kind",
-        "unknown-scheme",
-        "oracle-resolution",
-        "oracle-resolution-fraction",
-        "oracle-resolution-nan",
-        "oracle-resolution-inf",
-        "oracle-resolution-float",
-    ],
-)
-def test_execute_reports_build_errors(tmp_path, capsys, change, message):
-    # A RunConfig made in Python skips parse_config; build_problem's own
-    # checks and those of the constructors it calls still end in a message.
-    rc = replace(parse_config(str(CONFIG_DIR / "ball_proximal.cfg")), **change)
+_ZERO_TAKES = "bifunction kind zero does not take problem.bifunction."
+
+# (id, shipped config, RunConfig change, message)
+_BUILD_ERRORS = [
+    ("start-dimension", "ball_proximal", dict(start=(0.0, -1.0, 0.0)), "problem.start has dimension 3, the set expects 2"),
+    ("negative-k", "ball_proximal", dict(k=-1.0), "problem.k must be positive; got -1.0"),
+    ("negative-radius", "ball_proximal", dict(set_params=(("center", (0.0, 0.0)), ("radius", -1.0))),
+     "radius must be positive"),
+    ("start-outside", "ball_proximal", dict(start=(0.0, -3.0)), "problem.start is not in the feasible set"),
+    ("extra-field", "ball_proximal",
+     dict(set_params=(("center", (0.0, 0.0)), ("inner_radius", 0.5), ("radius", 1.0))),
+     "set kind ball does not take problem.set.inner_radius"),
+    ("missing-field", "ball_proximal", dict(set_params=(("center", (0.0, 0.0)),)), "set kind ball needs problem.set.radius"),
+    ("nan-radius", "ball_proximal", dict(set_params=(("center", (0.0, 0.0)), ("radius", math.nan))),
+     "radius is NaN or infinite"),
+    ("unknown-set-kind", "ball_proximal", dict(set_kind="blob"), f"problem.set.kind must be one of {_SET_KINDS}; got 'blob'"),
+    ("unknown-scheme", "ball_proximal", dict(scheme="blob"),
+     "scheme must be one of proximal, inertial, explicit, descent; got 'blob'"),
+    ("oracle-resolution", "ball_proximal", dict(oracle_resolution=1), "oracle.resolution is too small; got 1"),
+    ("oracle-resolution-fraction", "ball_proximal", dict(oracle_resolution=2.5), "oracle.resolution must be an integer; got 2.5"),
+    ("oracle-resolution-nan", "ball_proximal", dict(oracle_resolution=math.nan), "oracle.resolution must be an integer; got nan"),
+    ("oracle-resolution-inf", "ball_proximal", dict(oracle_resolution=math.inf), "oracle.resolution must be an integer; got inf"),
+    ("oracle-resolution-float", "ball_proximal", dict(oracle_resolution=3.0), "oracle.resolution must be an integer; got 3.0"),
+    # the trap converges to (1, 0), far from the oracle's (-1.005, 0); a
+    # tolerance that is not a positive number would let it pass
+    ("oracle-tol-nan", "two_ball_trap", dict(oracle_tol=math.nan), "oracle.tol must be finite; got nan"),
+    ("oracle-tol-inf", "two_ball_trap", dict(oracle_tol=math.inf), "oracle.tol must be finite; got inf"),
+    ("oracle-tol-zero", "two_ball_trap", dict(oracle_tol=0.0), "oracle.tol must be positive; got 0.0"),
+    ("oracle-tol-negative", "two_ball_trap", dict(oracle_tol=-1.0), "oracle.tol must be positive; got -1.0"),
+    ("unknown-bifunction-kind", "ball_proximal", dict(bifunction_kind="cubic"),
+     "problem.bifunction.kind must be one of affine_vi, zero; got 'cubic'"),
+    ("affine-no-matrix", "ball_proximal", dict(matrix=None), "affine_vi needs problem.bifunction.matrix"),
+    ("zero-with-matrix", "ball_proximal", dict(bifunction_kind="zero", offset=None), _ZERO_TAKES + "matrix"),
+    ("zero-with-offset", "ball_proximal", dict(bifunction_kind="zero", matrix=None), _ZERO_TAKES + "offset"),
+    ("infinite-k", "ball_proximal", dict(k=math.inf), "problem.k must be finite; got inf"),
+]
+
+
+@pytest.mark.parametrize("name, change, message", [c[1:] for c in _BUILD_ERRORS], ids=[c[0] for c in _BUILD_ERRORS])
+def test_execute_reports_build_errors(tmp_path, capsys, name, change, message):
+    # A RunConfig made in Python gets the checks of parse_config in
+    # build_problem, and those of the constructors it calls: each ends in a
+    # message that names its key, and nothing is written.
+    rc = replace(parse_config(str(CONFIG_DIR / f"{name}.cfg")), **change)
     assert execute(rc, out_dir=str(tmp_path / "out"), oracle=True) == 1
     assert capsys.readouterr().err == f"proxequil: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_execute_reports_a_set_field_named_kind(tmp_path, capsys):
+    # no config key can hold it: problem.set.kind names the set class
+    rc = parse_config(str(CONFIG_DIR / "ball_proximal.cfg"))
+    rc = replace(rc, set_params=(("center", (0.0, 0.0)), ("kind", "ball"), ("radius", 1.0)))
+    assert execute(rc, out_dir=str(tmp_path / "out")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("proxequil: ") and "unexpected keyword argument 'kind'" in err
+    assert not (tmp_path / "out").exists()
+
+
+# _CONFIG_ERRORS cases as a change of the parsed configs/ball_proximal.cfg
+_AS_REPLACE = {
+    "no-scheme": dict(scheme=None),
+    "bifunction-kind": dict(bifunction_kind="cubic"),
+    "no-matrix": dict(matrix=None),
+    "set-kind": dict(set_kind="disk"),
+    "negative-r": dict(r=-1.0),
+    "extra-set-key": dict(set_params=(("center", (0.0, 0.0)), ("inner_radius", 0.5), ("radius", 1.0))),
+    "resolution": dict(oracle_resolution=1),
+    "matrix-shape": dict(matrix=((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
+    "offset-length": dict(offset=(-2.0, 0.0, 0.0)),
+    "start-dimension": dict(start=(0.0, -1.0, 0.0)),
+    "start-outside": dict(start=(0.0, -3.0)),
+}
+
+
+@pytest.mark.parametrize("case", [c for c in _CONFIG_ERRORS if c[0] in _AS_REPLACE], ids=lambda c: c[0])
+def test_python_run_config_gets_the_file_message(tmp_path, capsys, case):
+    name, old, new, error, _ = case
+    text = (CONFIG_DIR / "ball_proximal.cfg").read_text(encoding="utf-8")
+    with pytest.raises(error) as err:
+        parse_config(_write(tmp_path, text.replace(old, new) if old else text + new))
+    rc = replace(parse_config(str(CONFIG_DIR / "ball_proximal.cfg")), **_AS_REPLACE[name])
+    assert execute(rc, out_dir=str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err == f"proxequil: {err.value}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -506,6 +542,9 @@ def test_execute_reports_build_errors(tmp_path, capsys, change, message):
 _TRACED_CALLS = {
     "ball_proximal": (590, dict(solve_subproblem=37, verify_subproblem_inequality=37, line_search=0, gap_value=1)),
     "annulus_inertial": (7177, dict(solve_subproblem=287, verify_subproblem_inequality=287, line_search=0, gap_value=1)),
+    # 53 explicit steps, each measured once (52 iterations), the final
+    # residual and the final gap
+    "annulus_explicit": (55, dict(solve_subproblem=0, verify_subproblem_inequality=0, line_search=0, gap_value=1)),
     # 52 line-search probes and the final gap
     "ball_descent": (109, dict(solve_subproblem=0, verify_subproblem_inequality=0, line_search=1, gap_value=53)),
 }

@@ -214,6 +214,13 @@ def test_solver_config_validation():
         SolverConfig(outer_tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(max_outer=0)
+    # an infinite step or gap weight is not a setting: alpha = inf makes the
+    # best response u itself, so gap descent stops at once on a non-solution
+    for name in ("lam", "alpha"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite; got inf$"):
+            SolverConfig(**{name: math.inf})
+    with pytest.raises(ValueError, match="^lam must be finite; got inf$"):
+        replace(SolverConfig(), lam=math.inf)
     # budgets and the seed are counts: a float would reach range() or
     # SeedSequence and fail there with a TypeError
     for bad in (dict(max_outer=2.5), dict(max_inner=3.0), dict(max_outer=math.inf), dict(seed=1.5)):
