@@ -140,6 +140,8 @@ class UREProblem:
     r: float
 
     def __post_init__(self):
+        if not math.isfinite(self.k):
+            raise ValueError(f"k must be finite; got {self.k}")
         if not self.k > 0:
             raise ValueError("k must be positive")
         if not self.r > 0:

@@ -10,13 +10,21 @@ differ only in the step. With kappa = k/(2r) and an extrapolated base point
 
     z = u_n - (gamma / (1 + kappa)) (u_n - u_prev),
 
-the implicit step returns the w solving the strengthened auxiliary inequality
+the implicit step computes the fixed point of
 
-    lam F(w, v) + (1 + kappa) <w - z, v - w>  >=  0   for all v in the set,
+    w = P[z - (lam/(1+kappa)) grad_v F(w, w)],
 
-realized as the fixed point of w <- P[z - (lam/(1+kappa)) grad_v F(w, w)].
-Dropping the quadratic term kappa ||v - w||^2 from the auxiliary inequality
-only strengthens it, so any such w also solves the original relaxed step.
+found by sweeps of that map with depth-1 Anderson mixing, and stopped when
+one sweep changes w by at most inner_tol. On a convex set the fixed point
+solves the strengthened auxiliary inequality
+
+    lam F(w, v) + (1 + kappa) <w - z, v - w>  >=  0   for all v in the set.
+
+On a nonconvex prox-regular set x - P(x) is a proximal normal, not a
+normal, so the inequality holds only up to a term of order ||v - w||^2; the
+sampled audit verify_subproblem_inequality still checks the strengthened
+form (see item 6 of ROADMAP.md).
+
 The explicit scheme freezes the gradient at the current iterate instead,
 u_{n+1} = P[u_n - lam grad_v F(u_n, u_n)], and involves no kappa at all.
 """
@@ -44,21 +52,36 @@ def _base_point(problem: UREProblem, u_n, u_prev, cfg: SolverConfig) -> tuple[Ar
 
 
 def solve_subproblem(problem: UREProblem, u_n, u_prev, cfg: SolverConfig) -> Array:
-    """Fixed point of w <- P[z - (lam/(1+kappa)) grad_v F(w, w)] from w = u_n,
-    with lam and gamma from cfg.
+    """Fixed point of g(w) = P[z - (lam/(1+kappa)) grad_v F(w, w)] from
+    w = u_n, with lam and gamma from cfg, by depth-1 Anderson mixing.
 
-    Iterates until the successive change drops below cfg.inner_tol; raises
-    SubproblemFailed when cfg.max_inner sweeps do not get there.
+    Each sweep takes g = g(w) and its change r = g - w. When ||r|| <=
+    cfg.inner_tol it returns g, a projection onto the set. When ||r|| is
+    below the last sweep's, the next point mixes in that sweep,
+    w = g - (<r, dr> / ||dr||^2)(g - g_prev) with dr = r - r_prev (Walker and
+    Ni, SIAM J. Numer. Anal. 49, 2011); otherwise it is g. The mixed point
+    may lie outside the set, and grad_v is evaluated there. Raises
+    SubproblemFailed when cfg.max_inner sweeps do not stop.
     """
     w, z = _base_point(problem, u_n, u_prev, cfg)
     f = problem.bifunction
     project = problem.feasible_set.project
     scale = cfg.lam / (1.0 + problem.kappa)
+    g_prev = r_prev = None
+    r_prev_norm = 0.0  # no history: no change is below 0
     for _ in range(cfg.max_inner):
-        w_new = project(z - scale * f.grad_v(w, w))
-        if _norm(w_new - w) <= cfg.inner_tol:
-            return w_new
-        w = w_new
+        g = project(z - scale * f.grad_v(w, w))
+        r = g - w
+        r_norm = _norm(r)
+        if r_norm <= cfg.inner_tol:
+            return g
+        w = g
+        if r_norm < r_prev_norm:
+            dr = r - r_prev
+            dr_sq = float(dr @ dr)
+            if dr_sq > 0.0:
+                w = g - (float(r @ dr) / dr_sq) * (g - g_prev)
+        g_prev, r_prev, r_prev_norm = g, r, r_norm
     raise SubproblemFailed(
         f"no fixed point to {cfg.inner_tol:g} within {cfg.max_inner} sweeps"
     )

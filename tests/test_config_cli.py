@@ -540,8 +540,11 @@ def test_python_run_config_gets_the_file_message(tmp_path, capsys, case):
 # Per shipped config: the calls to ConstraintSet.project, and to the solver
 # functions the benchmark tracer wraps, during execute(..., verify=True).
 _TRACED_CALLS = {
-    "ball_proximal": (590, dict(solve_subproblem=37, verify_subproblem_inequality=37, line_search=0, gap_value=1)),
-    "annulus_inertial": (7177, dict(solve_subproblem=287, verify_subproblem_inequality=287, line_search=0, gap_value=1)),
+    # 157 inner sweeps over the 37 implicit steps, 38 residual measures, the
+    # final residual and the final gap
+    "ball_proximal": (197, dict(solve_subproblem=37, verify_subproblem_inequality=37, line_search=0, gap_value=1)),
+    # 1,227 inner sweeps over 287 steps, 288 measures and the two merits
+    "annulus_inertial": (1517, dict(solve_subproblem=287, verify_subproblem_inequality=287, line_search=0, gap_value=1)),
     # 53 explicit steps, each measured once (52 iterations), the final
     # residual and the final gap
     "annulus_explicit": (55, dict(solve_subproblem=0, verify_subproblem_inequality=0, line_search=0, gap_value=1)),

@@ -24,6 +24,7 @@ from proxequil import (
     make_vi_bifunction,
     parse_config,
     problem_residual,
+    proximal_solve,
 )
 from problems import ball_pull, pull_bifunction
 
@@ -193,6 +194,24 @@ def test_problem_validation():
     # r may not exceed the set's prox-regularity constant
     with pytest.raises(ValueError):
         UREProblem(f, Sphere(np.zeros(2), 1.0), k=1.0, r=2.0)
+
+
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+def test_problem_rejects_a_non_finite_k(k):
+    """kappa = inf would make the implicit step w = u_n, so the proximal
+    scheme would stop at once wherever it started."""
+    with pytest.raises(ValueError, match="k must be finite; got"):
+        UREProblem(pull_bifunction([2.0, 0.0]), Ball(np.zeros(2), 1.0), k=k, r=1.0)
+
+
+def test_problem_allows_r_inf():
+    """r = inf is the convex case: kappa = 0, and the proximal scheme still
+    reaches the solution (1, 0) of the pull problem from (0, -1)."""
+    p = UREProblem(pull_bifunction([2.0, 0.0]), Ball(np.zeros(2), 1.0), k=1.0, r=math.inf)
+    assert p.kappa == 0.0
+    trace = proximal_solve(p, SolverConfig(lam=0.5), (0.0, -1.0))
+    assert trace.status is Status.CONVERGED
+    np.testing.assert_allclose(trace.final_point, [1.0, 0.0], atol=1e-6)
 
 
 def test_kappa_values():

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from proxequil import (
+    Annulus,
     Ball,
     Bifunction,
+    BoxMinusBall,
+    ConstraintSet,
     MissingGradient,
     EmptyTrace,
     PointNotInSet,
@@ -18,6 +21,7 @@ from proxequil import (
     SubproblemFailed,
     Trace,
     TraceRecord,
+    TwoBallUnion,
     UREProblem,
     ValidationError,
     default_step_size,
@@ -26,6 +30,7 @@ from proxequil import (
     fejer_check,
     gap_value,
     inertial_proximal_solve,
+    make_vi_bifunction,
     parse_config,
     problem_residual,
     proximal_solve,
@@ -105,7 +110,13 @@ def test_verify_matches_scalar_loop(step):
             worst, worst_v = -val, v
     assert chk.passed == (worst <= 1e-8)
     assert chk.worst_violation == pytest.approx(worst, rel=0, abs=1e-12)
-    np.testing.assert_array_equal(chk.worst_point, worst_v)
+    v = chk.worst_point
+    at_v = cfg.lam * f(w, v) + (1.0 + p.kappa) * float((w - z) @ (v - w))
+    assert -at_v == pytest.approx(worst, rel=0, abs=1e-12)
+    if worst > 1e-12:
+        # at rounding level the least value is a near-tie between the two
+        # summation orders, so only a clear worst point is compared by bits
+        np.testing.assert_array_equal(v, worst_v)
     assert chk.n_samples == 10000
 
 
@@ -152,8 +163,84 @@ def test_subproblem_kappa_zero_gamma_zero():
 
 
 def test_subproblem_budget_exhaustion():
-    with pytest.raises(SubproblemFailed):
+    with pytest.raises(SubproblemFailed, match="no fixed point to 1e-12 within 1 sweeps"):
         solve_subproblem(ball_pull(), U0, U0, SolverConfig(lam=0.5, gamma=0.0, max_inner=1))
+
+
+def _picard(p, u_n, u_prev, cfg):
+    """The implicit step as a plain fixed-point loop: the point and its sweeps."""
+    z = u_n - (cfg.gamma / (1.0 + p.kappa)) * (u_n - u_prev)
+    scale = cfg.lam / (1.0 + p.kappa)
+    w = u_n
+    for sweeps in range(1, cfg.max_inner + 1):
+        w_new = p.feasible_set.project(z - scale * p.bifunction.grad_v(w, w))
+        if np.linalg.norm(w_new - w) <= cfg.inner_tol:
+            return w_new, sweeps
+        w = w_new
+    raise SubproblemFailed("the plain loop did not stop")
+
+
+def _sets(d):
+    e = np.eye(d)[0]
+    return {
+        "ball": Ball(np.zeros(d), 1.0),
+        "annulus": Annulus(np.zeros(d), 1.0, 2.0),
+        "box_minus_ball": BoxMinusBall(np.full(d, -2.0), np.full(d, 2.0), np.zeros(d), 1.0),
+        "two_ball": TwoBallUnion(-2.0 * e, 1.0, 2.0 * e, 1.0),
+    }
+
+
+def _affine_step(kind, d, seed):
+    """A seeded inertial step of T(u) = (I + S)(u - t) with S skew, t a
+    seeded target and u_n, u_prev projections of seeded points."""
+    rng = np.random.default_rng(seed)
+    s = _sets(d)[kind]
+    B = rng.normal(scale=0.5, size=(d, d))
+    A, t = np.eye(d) + (B - B.T), rng.normal(scale=3.0, size=d)
+    p = UREProblem(make_vi_bifunction(lambda u: (u - t) @ A.T), s, k=1.0, r=1.0)
+    u_n, u_prev = s.project(rng.normal(size=d)), s.project(rng.normal(size=d))
+    return p, u_n, u_prev, SolverConfig(lam=0.5, gamma=0.3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+@pytest.mark.parametrize("kind", ["ball", "annulus", "box_minus_ball", "two_ball"])
+def test_mixed_step_matches_the_plain_loop(monkeypatch, kind, d):
+    """Anderson mixing reaches the plain loop's fixed point in no more
+    sweeps, and returns its last projection, a point of the set. A step on
+    which the plain loop runs out of sweeps (it flips across the hole or the
+    gap) has no point to compare with; at least 3 of the 5 seeded steps must
+    have one."""
+    compared = 0
+    for seed in range(5):
+        p, u_n, u_prev, cfg = _affine_step(kind, d, seed)
+        try:
+            expected, plain_sweeps = _picard(p, u_n, u_prev, cfg)
+        except SubproblemFailed:
+            continue
+        compared += 1
+        project, sweeps = ConstraintSet.project, []
+        with monkeypatch.context() as m:
+            m.setattr(ConstraintSet, "project", lambda s, x: sweeps.append(project(s, x)) or sweeps[-1])
+            w = solve_subproblem(p, u_n, u_prev, cfg)
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-9)
+        assert len(sweeps) <= plain_sweeps
+        assert w.tobytes() == sweeps[-1].tobytes()
+        assert p.feasible_set.member(w, "w").tobytes() == w.tobytes()
+    assert compared >= 3
+
+
+def test_step_that_flips_between_the_balls_fails(monkeypatch):
+    """Each sweep sends w to the other ball, so the change never drops and
+    every sweep restarts with the plain step: (1, 0), (-2, 0), (3, 0),
+    (-3, 0), (3, 0), ... until the budget is spent."""
+    s = TwoBallUnion(np.array([-2.0, 0.0]), 1.0, np.array([2.0, 0.0]), 1.0)
+    p = UREProblem(make_vi_bifunction(lambda u: 3.0 * u), s, k=1.0, r=1.0)
+    project, seen = ConstraintSet.project, []
+    monkeypatch.setattr(ConstraintSet, "project", lambda s, x: seen.append(project(s, x)) or seen[-1])
+    u_n = np.array([1.0, 0.0])
+    with pytest.raises(SubproblemFailed, match="no fixed point to 1e-12 within 6 sweeps"):
+        solve_subproblem(p, u_n, u_n, SolverConfig(lam=1.5, gamma=0.0, max_inner=6))
+    np.testing.assert_array_equal(np.array(seen)[:, 0], [-2.0, 3.0, -3.0, 3.0, -3.0, 3.0])
 
 
 def test_proximal_converges_on_ball():
