@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -82,9 +81,6 @@ def execute(
     verify: bool = False,
 ) -> int:
     """Run one config and write its outputs; returns the process exit code."""
-    if seed is not None and not (isinstance(seed, numbers.Integral) and seed >= 0):
-        print(f"proxequil: seed must be a nonnegative integer; got {seed!r}", file=sys.stderr)
-        return 1
     try:
         p = build_problem(rc)
         cfg = rc.solver
@@ -206,9 +202,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=None, help="override solver.seed")
     parser.add_argument("--verify", action="store_true", help="audit accepted steps by sampled inequalities")
     ns = parser.parse_args(argv)
-    if ns.seed is not None and ns.seed < 0:
-        print(f"proxequil: --seed must be nonnegative; got {ns.seed}", file=sys.stderr)
-        return 1
 
     if ns.suite is not None:
         if ns.args:

@@ -8,7 +8,8 @@ every number is finite except the literal `inf` of problem.r.
 parse_config(emit_config written to a file) reproduces the RunConfig exactly.
 
 A run's values are checked on one path, _validate, which reads the rules of
-_KEY_RULES (SolverConfig's among them) by config key. parse_config runs it on
+_KEY_RULES by config key, among them the tables the constructors enforce by
+field: _PROBLEM_RULES, _SOLVER_RULES and _GRID_RULES. parse_config runs it on
 a file's pairs; build_problem runs it on _pairs(rc), the pairs emit_config
 writes, so a RunConfig built in Python gets the file's checks and messages.
 """
@@ -16,7 +17,6 @@ writes, so a RunConfig built in Python gets the file's checks and messages.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ParseError, ProxequilError, ValidationError
 from .geometry import SET_KINDS, ConstraintSet
 from .model import Bifunction, SolverConfig, UREProblem, make_vi_bifunction
-from .model import _SOLVER_RULES, _broken_rules
+from .model import _PROBLEM_RULES, _SOLVER_RULES, _broken_rules
+from .oracle import _GRID_RULES
 
 SCHEMES = ("proximal", "inertial", "explicit", "descent")
 BIFUNCTION_KINDS = ("affine_vi", "zero")
@@ -44,20 +45,17 @@ def _one_of(key: str, allowed) -> tuple:
     return (key, f"must be one of {', '.join(allowed)}", lambda v: v in allowed)
 
 
-# model._SOLVER_RULES by config key, and the rules of the other keys but the
-# problem.set.* values, which the set constructors check
+# the problem, solver and grid tables by config key, and the rules of the
+# other keys but the problem.set.* values, which the set constructors check
 _KEY_RULES = (
     _one_of("scheme", SCHEMES),
     _one_of("problem.bifunction.kind", BIFUNCTION_KINDS),
     _one_of("problem.set.kind", sorted(SET_KINDS)),
-    ("problem.k", "must be finite", math.isfinite),
-    ("problem.k", "must be positive", lambda v: v > 0),
-    ("problem.r", "must be positive", lambda v: v > 0),
+    *((f"problem.{name}", phrase, test) for name, phrase, test in _PROBLEM_RULES),
     *((_SOLVER_KEYS[name], phrase, test) for name, phrase, test in _SOLVER_RULES),
     ("oracle.tol", "must be finite", math.isfinite),
     ("oracle.tol", "must be positive", lambda v: v > 0),
-    ("oracle.resolution", "must be an integer", lambda v: isinstance(v, numbers.Integral)),
-    ("oracle.resolution", "is too small", lambda v: v >= 2),
+    *((f"oracle.{name}", phrase, test) for name, phrase, test in _GRID_RULES),
 )
 
 # RunConfig field -> (config key, value type), in emission order; the

@@ -49,8 +49,8 @@ class ParseError(ProxequilError):
     """Config file is syntactically malformed."""
 
 
-class ValidationError(ProxequilError):
-    """Config file parsed but violates one or more invariants."""
+class ValidationError(ProxequilError, ValueError):
+    """Broken input rules: all of a config's by key, or a constructor's first by field."""
 
     def __init__(self, problems):
         self.problems = list(problems)

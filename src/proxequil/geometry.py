@@ -175,11 +175,13 @@ class ConstraintSet:
         return self._distance_batch(X) <= MEMBERSHIP_TOL * (1.0 + _row_norms(X))
 
     def sample(self, n: int, seed: int) -> Array:
-        """n points of the set, uniform over the bounding box conditioned on
-        membership; deterministic for a fixed seed."""
+        """n points of the set from _draw, deterministic for a fixed seed."""
         if n <= 0:
             raise ValueError("n must be positive")
-        rng = np.random.default_rng(seed)
+        return self._draw(n, np.random.default_rng(seed))
+
+    def _draw(self, n: int, rng: np.random.Generator) -> Array:
+        """n points uniform over the bounding box conditioned on membership."""
         lo, hi = self.bounding_box
         kept = []
         total = 0
@@ -220,7 +222,7 @@ class ConstraintSet:
         if _norm(w) > 1.0 + 1e-12:
             raise ValueError("w must be unit-scaled: ||w|| <= 1")
         r = self.prox_constant if prox_constant is None else float(prox_constant)
-        if r <= 0:
+        if not r > 0:
             raise ValueError("prox constant must be positive")
         V = self.sample(n_samples, seed)
         D = V - u
@@ -365,11 +367,8 @@ class Sphere(ConstraintSet):
         offset = x - self.center
         return _radial(self.center, self.radius, offset, _norm(offset))
 
-    def sample(self, n: int, seed: int) -> Array:
+    def _draw(self, n: int, rng: np.random.Generator) -> Array:
         # Surface kind: direct sampling, rejection would never terminate.
-        if n <= 0:
-            raise ValueError("n must be positive")
-        rng = np.random.default_rng(seed)
         g = rng.standard_normal((n, self.dim))
         norms = np.linalg.norm(g, axis=1, keepdims=True)
         norms[norms == 0.0] = 1.0

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from ._minimize import multistart_minimize
-from .errors import DimensionMismatch, MissingGradient, NonFiniteValue
+from .errors import DimensionMismatch, MissingGradient, NonFiniteValue, ValidationError
 from .geometry import Array, ConstraintSet, _cached_sample
 
 
@@ -130,6 +130,33 @@ def make_vi_bifunction(T: Callable[[Array], Array], JT: Callable[[Array], Array]
     return Bifunction(eval=f, grad_v=gv, grad_u=gu, vi_operator=T)
 
 
+def _is_integer(v) -> bool:  # a bool is an Integral, but not a count
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _broken_rules(rules, values) -> dict[str, str]:
+    """name -> "<phrase>; got <value>" of the first broken (name, phrase,
+    test) rule of each name in values, in the order of the rules that broke."""
+    broken: dict[str, str] = {}
+    for name, phrase, test in rules:
+        if name in values and name not in broken and not test(values[name]):
+            broken[name] = f"{phrase}; got {values[name]!r}"
+    return broken
+
+
+def _enforce(rules, obj) -> None:
+    """Raise the first broken rule of obj's fields as a ValidationError."""
+    for name, message in _broken_rules(rules, vars(obj)).items():
+        raise ValidationError([f"{name} {message}"])  # the first
+
+
+_PROBLEM_RULES = (
+    ("k", "must be finite", math.isfinite),
+    ("k", "must be positive", lambda v: v > 0),
+    ("r", "must be positive", lambda v: v > 0),
+)
+
+
 @dataclass(frozen=True, eq=False)
 class UREProblem:
     """An equilibrium problem over a prox-regular set with moduli k and r."""
@@ -140,12 +167,7 @@ class UREProblem:
     r: float
 
     def __post_init__(self):
-        if not math.isfinite(self.k):
-            raise ValueError(f"k must be finite; got {self.k}")
-        if not self.k > 0:
-            raise ValueError("k must be positive")
-        if not self.r > 0:
-            raise ValueError("r must be positive")
+        _enforce(_PROBLEM_RULES, self)
         if self.r > self.feasible_set.prox_constant:
             raise ValueError(
                 f"r={self.r:g} exceeds the set's prox-regularity constant "
@@ -161,9 +183,6 @@ class UREProblem:
         return self.feasible_set.dim
 
 
-# SolverConfig's rules as (field, phrase, test); a field fails at its first
-# broken rule. SolverConfig raises the first failure, named by its field;
-# config._validate reports every failure, named by its config key.
 _SOLVER_RULES = (
     ("lam", "must be finite", lambda v: v is None or math.isfinite(v)),
     ("lam", "must be positive or auto", lambda v: v is None or v > 0),
@@ -173,22 +192,10 @@ _SOLVER_RULES = (
     *((tol, phrase, test)
       for tol in ("outer_tol", "inner_tol", "line_search_tol")
       for phrase, test in (("must be finite", math.isfinite), ("must be positive", lambda v: v > 0))),
-    *((count, "must be an integer", lambda v: isinstance(v, numbers.Integral))
-      for count in ("seed", "max_outer", "max_inner")),
+    *((count, "must be an integer", _is_integer) for count in ("seed", "max_outer", "max_inner")),
     ("seed", "must be nonnegative", lambda v: v >= 0),
-    ("max_outer", "is too small", lambda v: v >= 1),
-    ("max_inner", "is too small", lambda v: v >= 1),
+    *((count, "is too small", lambda v: v >= 1) for count in ("max_outer", "max_inner")),
 )
-
-
-def _broken_rules(rules, values) -> dict[str, str]:
-    """name -> "<phrase>; got <value>" of the first broken rule of each name
-    in values, in the order of the rules that broke."""
-    broken: dict[str, str] = {}
-    for name, phrase, test in rules:
-        if name in values and name not in broken and not test(values[name]):
-            broken[name] = f"{phrase}; got {values[name]!r}"
-    return broken
 
 
 @dataclass(frozen=True)
@@ -200,8 +207,8 @@ class SolverConfig:
     lam=None asks each scheme to pick a step from a finite-difference
     Lipschitz estimate of the second-slot gradient; alpha=None lets the gap
     machinery default the gap weight to k/r (k when r = inf). The first
-    broken rule of _SOLVER_RULES raises ValueError("<field> <rule>; got
-    <value>").
+    broken rule of _SOLVER_RULES raises ValidationError, a ValueError,
+    as "<field> <rule>; got <value>".
     """
 
     lam: float | None = None
@@ -215,8 +222,7 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, message in _broken_rules(_SOLVER_RULES, vars(self)).items():
-            raise ValueError(f"{name} {message}")  # the first
+        _enforce(_SOLVER_RULES, self)
 
 
 def _best_response(

@@ -25,17 +25,21 @@ by one Bifunction.eval_rows call per 128-point v-block, abandoned the same way.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyGrid, GridTooLarge, NonFiniteValue, SamplingExhausted
 from .geometry import Array, ConstraintSet, as_vector
-from .model import Bifunction, UREProblem
+from .model import Bifunction, UREProblem, _enforce, _is_integer
 
 MAX_GRID_POINTS = int(1e7)
 MAX_GENERIC_EVALS = int(4e6)
+
+_GRID_RULES = (
+    ("resolution", "must be an integer", _is_integer),
+    ("resolution", "is too small", lambda v: v >= 2),
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,8 +52,7 @@ class GridSpec:
     box: tuple[Array, Array] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.resolution, numbers.Integral) or self.resolution < 2:
-            raise ValueError(f"resolution must be an integer >= 2; got {self.resolution!r}")
+        _enforce(_GRID_RULES, self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,8 +238,8 @@ def check_pseudomonotone(
     """
     if n_pairs <= 0:
         raise ValueError("n_pairs must be positive")
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
+    if not 0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be finite and nonnegative; got {kappa!r}")
     U = s.sample(n_pairs, 0)
     V = s.sample(n_pairs, 1)
     D = V - U

@@ -234,8 +234,8 @@ def fejer_check(trace: Trace, u_star, epsilon: float) -> FejerReport:
     """
     if not trace.records:
         raise EmptyTrace("trace has no records")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative; got {epsilon!r}")
     P = trace.points()
     u_star = as_vector(u_star, P.shape[1], "u_star")
     if len(P) < 2:

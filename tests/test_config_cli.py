@@ -9,8 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxequil import ConstraintSet, ParseError, RunConfig, ValidationError, cli, config, emit_config, gap, gap_value, parse_config, schemes
+from proxequil import Ball, ConstraintSet, GridSpec, ParseError, RunConfig, SolverConfig, UREProblem, ValidationError, cli, config, emit_config, gap, gap_value, make_vi_bifunction, parse_config, schemes
 from proxequil.cli import execute, main
+from proxequil.model import _PROBLEM_RULES, _SOLVER_RULES
+from proxequil.oracle import _GRID_RULES
 from problems import shipped_sets
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -430,24 +432,97 @@ def test_cli_seed_override(tmp_path):
 
 
 def test_cli_rejects_negative_seed(tmp_path, capsys):
+    # --seed reaches SolverConfig through execute, which prints its message;
+    # in a suite every config exits 1 on it and nothing is written
     out = tmp_path / "out"
     assert main(["run", str(CONFIG_DIR / "ball_descent.cfg"), "--seed", "-3", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "proxequil: seed must be nonnegative; got -3\n"
+    assert not out.exists()
     assert main(["--suite", str(CONFIG_DIR), "--seed", "-3", "--out", str(out)]) == 1
-    assert "--seed" in capsys.readouterr().err
+    names = sorted(str(c) for c in CONFIG_DIR.glob("*.cfg"))
+    assert capsys.readouterr().out == "".join(f"{name}: exit 1\n" for name in names)
     assert not out.exists()
 
 
 def test_execute_rejects_negative_seed(tmp_path, capsys):
     rc = parse_config(str(CONFIG_DIR / "ball_proximal.cfg"))
     assert execute(rc, out_dir=str(tmp_path / "out"), seed=-3) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("proxequil: ") and "-3" in err
-    # a non-integer seed would reach the sampler of a lambda = auto run
+    assert capsys.readouterr().err == "proxequil: seed must be nonnegative; got -3\n"
+    # a non-integer seed would reach the sampler of a lambda = auto run, and
+    # True, an Integral, would run as seed 1
     auto = replace(rc, solver=replace(rc.solver, lam=None))
-    for seed in (1.5, 2.0):
+    for seed in (1.5, 2.0, True):
         assert execute(auto, out_dir=str(tmp_path / "out"), seed=seed) == 1
-        assert capsys.readouterr().err == f"proxequil: seed must be a nonnegative integer; got {seed!r}\n"
+        assert capsys.readouterr().err == f"proxequil: seed must be an integer; got {seed!r}\n"
     assert not (tmp_path / "out").exists()
+
+
+# (field, phrase) of each rule of _PROBLEM_RULES, _SOLVER_RULES and
+# _GRID_RULES -> a value that breaks it and no earlier rule of its field
+_BREAKING = {
+    ("k", "must be finite"): math.inf,
+    ("k", "must be positive"): -1.0,
+    ("r", "must be positive"): 0.0,
+    ("lam", "must be finite"): math.inf,
+    ("lam", "must be positive or auto"): -1.0,
+    ("gamma", "must lie in [0, 1)"): 1.0,
+    ("alpha", "must be finite"): math.nan,
+    ("alpha", "must be positive or auto"): 0.0,
+    ("outer_tol", "must be finite"): math.nan,
+    ("outer_tol", "must be positive"): 0.0,
+    ("inner_tol", "must be finite"): math.inf,
+    ("inner_tol", "must be positive"): -1e-12,
+    ("line_search_tol", "must be finite"): -math.inf,
+    ("line_search_tol", "must be positive"): -1.0,
+    ("seed", "must be an integer"): 1.5,
+    ("seed", "must be nonnegative"): -3,
+    ("max_outer", "must be an integer"): True,
+    ("max_outer", "is too small"): 0,
+    ("max_inner", "must be an integer"): 3.0,
+    ("max_inner", "is too small"): -1,
+    ("resolution", "must be an integer"): 2.5,
+    ("resolution", "is too small"): 1,
+}
+
+_RULES = [(table, field, phrase)
+          for table, rules in (("problem", _PROBLEM_RULES), ("solver", _SOLVER_RULES), ("grid", _GRID_RULES))
+          for field, phrase, _ in rules]
+
+# field -> (config key, RunConfig field) of the fields a RunConfig holds
+# outside its SolverConfig, which cannot hold a broken value
+_RUN_FIELDS = {"k": ("problem.k", "k"), "r": ("problem.r", "r"), "resolution": ("oracle.resolution", "oracle_resolution")}
+
+
+def _construct(table, field, value):
+    if table == "problem":
+        return UREProblem(make_vi_bifunction(lambda u: u), Ball(np.zeros(2), 1.0), **{"k": 1.0, "r": 1.0, field: value})
+    return SolverConfig(**{field: value}) if table == "solver" else GridSpec(value)
+
+
+@pytest.mark.parametrize("table, field, phrase", _RULES, ids=[f"{f}-{p}" for _, f, p in _RULES])
+def test_each_rule_has_one_message_per_path(tmp_path, table, field, phrase):
+    # The constructor names the field; build_problem on a Python RunConfig
+    # and parse_config on a file name the config key. A second home of the
+    # rule, with its own text, would break one of the three.
+    bad = _BREAKING[field, phrase]
+    with pytest.raises(ValidationError) as err:
+        _construct(table, field, bad)
+    assert isinstance(err.value, ValueError)
+    assert err.value.problems == [f"{field} {phrase}; got {bad!r}"]
+    rc = parse_config(str(CONFIG_DIR / "ball_proximal.cfg"))
+    if field in _RUN_FIELDS:
+        key, rc_field = _RUN_FIELDS[field]
+        with pytest.raises(ValidationError) as err:
+            config.build_problem(replace(rc, **{rc_field: bad}))
+        assert err.value.problems == [f"{key} {phrase}; got {bad!r}"]
+    else:
+        key = config._SOLVER_KEYS[field]
+    # a file holds finite numbers, and integers only for an int key
+    if type(bad) is (int if config._SCHEMA[key] == "int" else float) and math.isfinite(bad):
+        lines = [line for line in emit_config(rc).splitlines(True) if not line.startswith(f"{key} =")]
+        with pytest.raises(ValidationError) as err:
+            parse_config(_write(tmp_path, "".join(lines) + f"{key} = {bad!r}\n"))
+        assert err.value.problems == [f"{key} {phrase}; got {bad!r}"]
 
 
 _ZERO_TAKES = "bifunction kind zero does not take problem.bifunction."
@@ -473,6 +548,7 @@ _BUILD_ERRORS = [
     ("oracle-resolution-nan", "ball_proximal", dict(oracle_resolution=math.nan), "oracle.resolution must be an integer; got nan"),
     ("oracle-resolution-inf", "ball_proximal", dict(oracle_resolution=math.inf), "oracle.resolution must be an integer; got inf"),
     ("oracle-resolution-float", "ball_proximal", dict(oracle_resolution=3.0), "oracle.resolution must be an integer; got 3.0"),
+    ("oracle-resolution-bool", "ball_proximal", dict(oracle_resolution=True), "oracle.resolution must be an integer; got True"),
     # the trap converges to (1, 0), far from the oracle's (-1.005, 0); a
     # tolerance that is not a positive number would let it pass
     ("oracle-tol-nan", "two_ball_trap", dict(oracle_tol=math.nan), "oracle.tol must be finite; got nan"),

@@ -234,6 +234,13 @@ def test_normal_check_validation():
         ball.proximal_normal_check(np.array([5.0, 0.0]), np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         ball.proximal_normal_check(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+    u, w = np.array([1.0, 0.0]), np.array([1.0, 0.0])
+    for bad in (math.nan, 0.0, -1.0, -math.inf):
+        with pytest.raises(ValueError, match="^prox constant must be positive$"):
+            ball.proximal_normal_check(u, w, n_samples=10, prox_constant=bad)
+    # an infinite constant is the convex case, a finite worst violation
+    rep = ball.proximal_normal_check(u, w, n_samples=10, prox_constant=math.inf)
+    assert rep.passed and math.isfinite(rep.max_violation)
 
 
 def test_membership_along_normal_ray():
@@ -258,6 +265,19 @@ def test_sampling_deterministic_and_feasible():
 def test_sphere_sampling_unit_norm():
     pts = Sphere(np.zeros(3), 1.0).sample(3, seed=7)
     np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+
+
+def test_sphere_draws_directly_through_the_one_sample():
+    """Only _draw differs by kind: the sphere's draw is normalised Gaussians
+    from the seed's stream, and the base sample keeps the size rule."""
+    s = Sphere(np.array([1.0, -2.0, 0.5]), 3.0)
+    g = np.random.default_rng(11).standard_normal((6, 3))
+    expected = s.center + s.radius * g / np.linalg.norm(g, axis=1, keepdims=True)
+    np.testing.assert_array_equal(s.sample(6, 11), expected)
+    assert "sample" not in vars(Sphere) and "_draw" in vars(Sphere)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            s.sample(n, 0)
 
 
 def test_sampling_exhausted():

@@ -18,6 +18,7 @@ from proxequil import (
     Sphere,
     Status,
     UREProblem,
+    ValidationError,
     finite_diff_gradient,
     grid_solve,
     config,
@@ -242,9 +243,11 @@ def test_solver_config_validation():
         replace(SolverConfig(), lam=math.inf)
     # budgets and the seed are counts: a float would reach range() or
     # SeedSequence and fail there with a TypeError
-    for bad in (dict(max_outer=2.5), dict(max_inner=3.0), dict(max_outer=math.inf), dict(seed=1.5)):
+    # a bool is an Integral, but True as max_outer was a one-step budget
+    for bad in (dict(max_outer=2.5), dict(max_inner=3.0), dict(max_outer=math.inf), dict(seed=1.5),
+                dict(seed=True), dict(max_outer=True), dict(max_inner=False)):
         (name, value), = bad.items()
-        with pytest.raises(ValueError, match=f"{name} must be an integer; got {value!r}"):
+        with pytest.raises(ValidationError, match=f"^{name} must be an integer; got {value!r}$"):
             SolverConfig(**bad)
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             replace(SolverConfig(), **bad)

@@ -8,6 +8,7 @@ analytic solutions of the shipped problems exactly on grid nodes.
 
 import ast
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from proxequil import (
     Sphere,
     TwoBallUnion,
     UREProblem,
+    ValidationError,
     check_pseudomonotone,
     finite_diff_gradient,
     grid_solve,
@@ -237,8 +239,11 @@ def test_custom_box_restricts_search():
 
 
 def test_grid_guards():
-    for bad in (1, 3.0, 2.5, math.inf, math.nan):
-        with pytest.raises(ValueError, match=r"resolution must be an integer >= 2; got "):
+    for bad in (3.0, 2.5, math.inf, math.nan, True, False):
+        with pytest.raises(ValidationError, match=rf"^resolution must be an integer; got {re.escape(repr(bad))}$"):
+            GridSpec(bad)
+    for bad in (1, 0, -2):
+        with pytest.raises(ValidationError, match=rf"^resolution is too small; got {bad}$"):
             GridSpec(bad)
     with pytest.raises(GridTooLarge):
         grid_solve(
@@ -276,6 +281,17 @@ def test_pseudomonotone_monotone_affine():
     assert rep.passed
     assert rep.n_counterexamples == 0
     assert rep.n_pairs == 10000
+
+
+def test_pseudomonotone_rejects_a_non_finite_or_negative_kappa():
+    """kappa = nan made every comparison false, so the check passed with no
+    counterexample where kappa = 0 finds them."""
+    flip = make_vi_bifunction(lambda u: -u)
+    ball = Ball(np.zeros(2), 1.0)
+    assert not check_pseudomonotone(flip, ball, 0.0, n_pairs=2000).passed
+    for bad in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(ValueError, match=f"^kappa must be finite and nonnegative; got {bad!r}$"):
+            check_pseudomonotone(flip, ball, bad, n_pairs=2000)
 
 
 def test_pseudomonotone_sign_flip_fails():

@@ -393,6 +393,14 @@ def test_fejer_check_degenerate_traces():
         fejer_check(Trace([], Status.CONVERGED), SOLUTION, epsilon=0.5)
 
 
+def test_fejer_check_rejects_a_non_finite_or_negative_epsilon():
+    """epsilon = nan or inf used to give a NaN worst margin, not an error."""
+    trace = proximal_solve(ball_pull(), SolverConfig(lam=0.5), U0)
+    for bad in (math.nan, math.inf, -math.inf, -0.5):
+        with pytest.raises(ValueError, match=f"^epsilon must be finite and nonnegative; got {bad!r}$"):
+            fejer_check(trace, SOLUTION, epsilon=bad)
+
+
 def test_polarization_identity():
     rng = np.random.default_rng(42)
     for _ in range(1000):
