@@ -23,6 +23,12 @@ There ``project`` returns one nearest point by a deterministic tie-break:
 centers resolve along the first canonical axis, two-ball ties resolve to the
 ball with the lexicographically smaller center.
 
+``sample`` draws uniform points of a set. Ball, Sphere, Annulus and
+TwoBallUnion draw them directly, at O(d) per point in any dimension: a
+Gaussian direction and a radius from the inverse law of r^d. Box, Halfspace
+(over its window) and BoxMinusBall reject from the bounding box, and raise
+SamplingExhausted when too few draws land in the set.
+
 Validation lives here too: ``ConstraintSet.__post_init__`` coerces a kind's
 fields from their annotations, and ``ConstraintSet.member`` is the one check,
 with one message, that a point handed to the package lies in its set.
@@ -32,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -72,6 +79,10 @@ def _norm(x: Array) -> float:
     if x.flags.c_contiguous:
         return math.sqrt(x @ x)
     return float(np.linalg.norm(x))
+
+
+def _is_integer(v) -> bool:  # a bool is an Integral, but not a count
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _row_norms(X: Array) -> Array:
@@ -176,12 +187,16 @@ class ConstraintSet:
 
     def sample(self, n: int, seed: int) -> Array:
         """n points of the set from _draw, deterministic for a fixed seed."""
+        if not _is_integer(n):
+            raise ValueError(f"n must be an integer; got {n!r}")
         if n <= 0:
             raise ValueError("n must be positive")
         return self._draw(n, np.random.default_rng(seed))
 
     def _draw(self, n: int, rng: np.random.Generator) -> Array:
-        """n points uniform over the bounding box conditioned on membership."""
+        """n points uniform over the bounding box conditioned on membership,
+        by rejection; the kinds whose uniform law has a closed form draw it
+        directly instead."""
         lo, hi = self.bounding_box
         kept = []
         total = 0
@@ -243,6 +258,27 @@ def _cached_sample(s: ConstraintSet, n: int, seed: int) -> Array:
     return X
 
 
+def _on_spheres(rng: np.random.Generator, n: int, dim: int, radii) -> Array:
+    """n points at the given radii (a float or an (n, 1) array) from the
+    origin, each in a uniform direction: a standard Gaussian row divided by
+    its norm (Muller, Comm. ACM 2(4), 1959). A zero row, of probability zero,
+    gives the origin."""
+    g = rng.standard_normal((n, dim))
+    norms = _row_norms(g)[:, None]
+    norms[norms == 0.0] = 1.0
+    return radii * g / norms
+
+
+def _in_shells(rng: np.random.Generator, n: int, dim: int, outer, inner_share: float = 0.0) -> Array:
+    """n points uniform on the shells inner <= ||x|| <= outer around the
+    origin, where inner_share = (inner / outer)^dim and outer is a float or
+    an (n, 1) array. The radius outer (t + (1 - t) U)^(1/dim), t the share
+    and U uniform on [0, 1), inverts the law of r^dim; it cannot overflow,
+    and t = 1 gives the sphere of radius outer."""
+    u = rng.random((n, 1))
+    return _on_spheres(rng, n, dim, outer * (inner_share + (1.0 - inner_share) * u) ** (1.0 / dim))
+
+
 @dataclass(frozen=True, eq=False)
 class Box(ConstraintSet):
     lower: Array
@@ -290,6 +326,9 @@ class Ball(ConstraintSet):
         if d <= self.radius:
             return x
         return self.center + self.radius * offset / d
+
+    def _draw(self, n: int, rng: np.random.Generator) -> Array:
+        return self.center + _in_shells(rng, n, self.dim, self.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,11 +407,7 @@ class Sphere(ConstraintSet):
         return _radial(self.center, self.radius, offset, _norm(offset))
 
     def _draw(self, n: int, rng: np.random.Generator) -> Array:
-        # Surface kind: direct sampling, rejection would never terminate.
-        g = rng.standard_normal((n, self.dim))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        return self.center + self.radius * g / norms
+        return self.center + _on_spheres(rng, n, self.dim, self.radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,6 +444,10 @@ class Annulus(ConstraintSet):
         if d > self.outer_radius:
             return _radial(self.center, self.outer_radius, offset, d)
         return x
+
+    def _draw(self, n: int, rng: np.random.Generator) -> Array:
+        share = (self.inner_radius / self.outer_radius) ** self.dim
+        return self.center + _in_shells(rng, n, self.dim, self.outer_radius, share)
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,6 +547,15 @@ class TwoBallUnion(ConstraintSet):
         if to_a:
             return self.center_a + self.radius_a * offset_a / (da + self.radius_a)
         return self.center_b + self.radius_b * offset_b / (db + self.radius_b)
+
+    def _draw(self, n: int, rng: np.random.Generator) -> Array:
+        # Each row picks a ball with probability proportional to its volume,
+        # rho^dim, scaled by the larger radius so that neither power overflows.
+        big = max(self.radius_a, self.radius_b)
+        va, vb = (self.radius_a / big) ** self.dim, (self.radius_b / big) ** self.dim
+        in_a = rng.random((n, 1)) < va / (va + vb)
+        radii = np.where(in_a, self.radius_a, self.radius_b)
+        return np.where(in_a, self.center_a, self.center_b) + _in_shells(rng, n, self.dim, radii)
 
 
 SET_KINDS = {

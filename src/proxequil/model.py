@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -25,7 +24,7 @@ import numpy as np
 
 from ._minimize import multistart_minimize
 from .errors import DimensionMismatch, MissingGradient, NonFiniteValue, ValidationError
-from .geometry import Array, ConstraintSet, _cached_sample
+from .geometry import Array, ConstraintSet, _cached_sample, _is_integer
 
 
 class Status(enum.Enum):
@@ -128,10 +127,6 @@ def make_vi_bifunction(T: Callable[[Array], Array], JT: Callable[[Array], Array]
             return np.asarray(JT(u), dtype=float).T @ (v - u) - T(u)
 
     return Bifunction(eval=f, grad_v=gv, grad_u=gu, vi_operator=T)
-
-
-def _is_integer(v) -> bool:  # a bool is an Integral, but not a count
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def _broken_rules(rules, values) -> dict[str, str]:

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGrid, GridTooLarge, NonFiniteValue, SamplingExhausted
-from .geometry import Array, ConstraintSet, as_vector
-from .model import Bifunction, UREProblem, _enforce, _is_integer
+from .geometry import Array, ConstraintSet, _is_integer, as_vector
+from .model import Bifunction, UREProblem, _enforce
 
 MAX_GRID_POINTS = int(1e7)
 MAX_GENERIC_EVALS = int(4e6)

@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyTrace, SubproblemFailed
-from .geometry import Array, _cached_sample, _norm, as_vector
+from .geometry import Array, _cached_sample, _norm, _row_norms, as_vector
 from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem
 
 
@@ -114,22 +114,19 @@ def verify_subproblem_inequality(problem: UREProblem, u_n, u_prev, w, cfg: Solve
 
 
 def default_step_size(problem: UREProblem, seed: int = 0) -> float:
-    """0.5 / (1 + L) with L a Lipschitz estimate of grad_v F over 100
-    sampled pairs, one pair at a time: Bifunction.grad_v_rows (a matrix
-    product) and row norms can move L by an ulp, and with it each lambda = auto run.
-    The per-pair norms stay per pair; ``_norm`` computes each with the bits
-    of ``np.linalg.norm``.
+    """0.5 / (1 + L) with L a Lipschitz estimate of grad_v F: the largest
+    ratio ||grad_v F(x, x) - grad_v F(y, y)|| / ||x - y|| over the 100 pairs
+    of rows of sample(100, seed) and sample(100, seed + 1), skipping pairs
+    closer than 1e-12. Each side's gradients are one Bifunction.grad_v_rows
+    call, and the gaps and slopes are row norms.
     """
     f = problem.bifunction
     X = problem.feasible_set.sample(100, seed)
     Y = problem.feasible_set.sample(100, seed + 1)
-    L = 0.0
-    for x, y in zip(X, Y):
-        gap = _norm(x - y)
-        if gap <= 1e-12:
-            continue
-        L = max(L, _norm(f.grad_v(x, x) - f.grad_v(y, y)) / gap)
-    return 0.5 / (1.0 + L)
+    gaps = _row_norms(X - Y)
+    apart = gaps > 1e-12
+    slopes = _row_norms(f.grad_v_rows(X, X) - f.grad_v_rows(Y, Y))[apart] / gaps[apart]
+    return 0.5 / (1.0 + float(slopes.max(initial=0.0)))
 
 
 def _explicit_step(problem: UREProblem, u: Array, lam: float) -> Array:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import shutil
 from dataclasses import fields, replace
 from pathlib import Path
@@ -274,53 +275,54 @@ def test_cli_exit_subproblem_failure(tmp_path):
     assert code == 3
 
 
-def _ball12(lam: str) -> str:
-    """A proximal run on the 12-d unit ball, whose sampling from the bounding
-    box runs out of draws."""
-    d = 12
-    zeros = ", ".join(["0.0"] * d)
-    rows = "; ".join(", ".join("1.0" if i == j else "0.0" for j in range(d)) for i in range(d))
+def _thin_halfspace(lam: str) -> str:
+    """A proximal run on the halfspace x_1 <= -0.9998, whose window [-1, 1]^2
+    meets it in a 1e-4 share: rejection sampling from the window runs out of
+    draws. The solution is the projection (-0.9998, 0) of (2, 0)."""
     return f"""\
 scheme = proximal
 problem.k = 1.0
 problem.r = 1.0
-problem.start = {zeros}
+problem.start = -1.0, 0.0
 problem.bifunction.kind = affine_vi
-problem.bifunction.matrix = {rows}
-problem.bifunction.offset = -2.0{", 0.0" * (d - 1)}
-problem.set.kind = ball
-problem.set.center = {zeros}
-problem.set.radius = 1.0
+problem.bifunction.matrix = 1.0, 0.0; 0.0, 1.0
+problem.bifunction.offset = -2.0, 0.0
+problem.set.kind = halfspace
+problem.set.normal = 1.0, 0.0
+problem.set.offset = -0.9998
+problem.set.window_lower = -1.0, -1.0
+problem.set.window_upper = 1.0, 1.0
 solver.lambda = {lam}
 """
 
 
 def test_cli_solve_input_error_exits_1(tmp_path, capsys):
-    # solver.lambda = auto samples the 12-d unit ball from its bounding box,
-    # which runs out of draws: an input/guard error, not a solver failure.
+    # solver.lambda = auto samples the halfspace from its window, which runs
+    # out of draws: an input/guard error, not a solver failure.
     out = tmp_path / "out"
-    code = main(["run", _write(tmp_path, _ball12("auto")), "--out", str(out)])
+    code = main(["run", _write(tmp_path, _thin_halfspace("auto")), "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err
-    assert "proxequil: ball: 34 of 100 points after 110000 draws" in err
+    assert re.fullmatch(r"proxequil: halfspace: \d+ of 100 points after 110000 draws\n", err)
     assert "solver failure" not in err
     assert not (out / "summary.json").exists()
 
 
 def test_cli_reports_uncomputed_merits(tmp_path, capsys):
     # A fixed lambda solves without sampling. With r = 1 both merits are
-    # closed-form nearest points, exact at the solution (1, 0, ..., 0); with
+    # closed-form nearest points, exact at the solution (-0.9998, 0); with
     # r = inf, kappa = 0, so the residual samples its starts, runs out of
     # draws and is written as null, while the gap keeps its closed form.
     out = tmp_path / "out"
-    code = main(["run", _write(tmp_path, _ball12("0.5")), "--out", str(out)])
+    code = main(["run", _write(tmp_path, _thin_halfspace("0.5")), "--out", str(out)])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "converged"
+    assert summary["final_point"] == [-0.9998, 0.0]
     assert summary["final_residual"] == summary["final_gap"] == 0.0
     assert capsys.readouterr().err == ""
 
-    convex = _ball12("0.5").replace("problem.r = 1.0", "problem.r = inf")
+    convex = _thin_halfspace("0.5").replace("problem.r = 1.0", "problem.r = inf")
     out = tmp_path / "out-inf"
     code = main(["run", _write(tmp_path, convex), "--out", str(out)])
     assert code == 0
@@ -328,9 +330,49 @@ def test_cli_reports_uncomputed_merits(tmp_path, capsys):
     assert summary["status"] == "converged"
     assert summary["final_residual"] is None and summary["final_gap"] == 0.0
     err = capsys.readouterr().err
-    assert err.startswith("proxequil: final_residual not computed: ball: ")
+    assert err.startswith("proxequil: final_residual not computed: halfspace: ")
     assert err.count("of 8 points after 18000 draws") == 1
     assert "final_gap" not in err
+
+
+def _vec(v) -> str:
+    return ", ".join(repr(float(x)) for x in v)
+
+
+@pytest.mark.parametrize("d", [8, 20])
+@pytest.mark.parametrize("kind", ["ball", "annulus"])
+def test_auto_step_solves_high_dimensional_sets(tmp_path, capsys, kind, d):
+    """solver.lambda = auto samples the set in d = 8 and 20. The affine VI
+    T(u) = u - p is solved by the nearest point P(p): on the ball p lies
+    outside, on the annulus in the hole, 0.6 from the set (at most k)."""
+    c = np.linspace(-0.5, 0.5, d)
+    e = np.ones(d) / math.sqrt(d)
+    if kind == "ball":
+        set_keys = "problem.set.radius = 1.5\n"
+        p, start, answer = c + 3.0 * e, c, c + 1.5 * e
+    else:
+        set_keys = "problem.set.inner_radius = 1.0\nproblem.set.outer_radius = 2.0\n"
+        p, start, answer = c + 0.4 * e, c + 1.5 * e, c + e
+    identity = "; ".join(_vec(row) for row in np.eye(d))
+    text = f"""\
+scheme = proximal
+problem.k = 1.0
+problem.r = 1.0
+problem.start = {_vec(start)}
+problem.bifunction.kind = affine_vi
+problem.bifunction.matrix = {identity}
+problem.bifunction.offset = {_vec(-p)}
+problem.set.kind = {kind}
+problem.set.center = {_vec(c)}
+{set_keys}solver.lambda = auto
+"""
+    out = tmp_path / "out"
+    assert execute(parse_config(_write(tmp_path, text)), str(out)) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "converged"
+    np.testing.assert_allclose(summary["final_point"], answer, atol=1e-7)
+    assert summary["final_residual"] <= 1e-8
 
 
 def test_cli_exit_oracle_disagreement(tmp_path):

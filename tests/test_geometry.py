@@ -280,6 +280,81 @@ def test_sphere_draws_directly_through_the_one_sample():
             s.sample(n, 0)
 
 
+@pytest.mark.parametrize("s", shipped_sets(), ids=lambda s: s.kind)
+def test_sample_size_must_be_a_positive_integer(s):
+    """One size rule for every kind, checked before any draw."""
+    for n in (math.nan, 2.5, True):
+        with pytest.raises(ValueError, match=rf"^n must be an integer; got {n!r}$"):
+            s.sample(n, 0)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^n must be positive$"):
+            s.sample(n, 0)
+    assert s.sample(np.int64(3), 0).shape == (3, s.dim)
+
+
+def _direct_kinds(d):
+    """A ball, an annulus and a two-ball union (radii 1 and 0.95) in R^d."""
+    e = np.eye(d)[0]
+    return [
+        Ball(np.full(d, 0.5), 2.0),
+        Annulus(np.full(d, -1.0), 1.0, 1.5),
+        TwoBallUnion(-3.0 * e, 1.0, 3.0 * e, 0.95),
+    ]
+
+
+@pytest.mark.parametrize("d", [2, 8, 20])
+def test_direct_samplers_are_uniform(d):
+    """Ball, Annulus and TwoBallUnion draw directly, with no rejection: every
+    point is in the set, a seed repeats its array, half the points fall inside
+    the half-volume radius, and the two balls split by volume; each share
+    within 5 standard deviations."""
+    n = 20000
+    for s in _direct_kinds(d):
+        assert "_draw" in vars(type(s)) and "sample" not in vars(type(s))
+        X = s.sample(n, 5)
+        assert X.shape == (n, d) and s.contains_batch(X).all()
+        np.testing.assert_array_equal(s.sample(n, 5), X)
+        assert not np.array_equal(s.sample(n, 6), X)
+        if isinstance(s, TwoBallUnion):
+            in_a = np.linalg.norm(X - s.center_a, axis=1) <= s.radius_a * (1.0 + 1e-12)
+            p = s.radius_a**d / (s.radius_a**d + s.radius_b**d)
+            assert abs(in_a.mean() - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+            # ||x - c||^d / rho^d is uniform on [0, 1) within each ball
+            scaled = np.where(
+                in_a,
+                np.linalg.norm(X - s.center_a, axis=1) / s.radius_a,
+                np.linalg.norm(X - s.center_b, axis=1) / s.radius_b,
+            ) ** d
+            half = 0.5
+        elif isinstance(s, Annulus):
+            # ||x - c||^d / rho2^d is uniform on [t, 1), t = (rho1 / rho2)^d
+            scaled = (np.linalg.norm(X - s.center, axis=1) / s.outer_radius) ** d
+            half = 0.5 * (1.0 + (s.inner_radius / s.outer_radius) ** d)
+        else:
+            scaled = (np.linalg.norm(X - s.center, axis=1) / s.radius) ** d
+            half = 0.5
+        assert abs((scaled < half).mean() - 0.5) <= 5.0 * math.sqrt(0.25 / n)
+
+
+@pytest.mark.parametrize("d", [2, 8, 20])
+def test_equal_radii_annulus_samples_its_sphere(d):
+    s = Annulus(np.full(d, 2.0), 3.0, 3.0)
+    X = s.sample(500, 0)
+    np.testing.assert_allclose(np.linalg.norm(X - s.center, axis=1), 3.0, rtol=1e-13)
+    assert s.contains_batch(X).all()
+
+
+def test_direct_samplers_stay_finite_in_high_dimension():
+    """(rho2 / rho1)^d would overflow here; the sampled radius never forms it."""
+    d = 200
+    for s in (
+        Annulus(np.zeros(d), 1.0, 100.0),
+        TwoBallUnion(np.zeros(d), 100.0, np.full(d, 20.0), 1.0),
+    ):
+        X = s.sample(1000, 0)
+        assert np.isfinite(X).all() and s.contains_batch(X).all()
+
+
 def test_sampling_exhausted():
     # window sits entirely outside the halfspace, rejection can never succeed
     hs = Halfspace(np.array([1.0, 0.0]), -5.0, np.zeros(2), np.ones(2))

@@ -24,6 +24,7 @@ from proxequil import (
     EmptyGrid,
     GridSpec,
     GridTooLarge,
+    Halfspace,
     NonFiniteValue,
     SamplingExhausted,
     Sphere,
@@ -179,10 +180,11 @@ def test_vi_grid_zero_operator_keeps_every_row():
 
 
 def test_inner_lipschitz_fallback_keeps_kappa_term():
-    """A thin annulus yields 8 sampled points but not 1000, so the bound falls
-    back to 8 pairs; they must be distinct pairs, or the 2 kappa (v - u) part
-    of the gradient vanishes. Here T(u) + 2 kappa (v - u) = v - c."""
-    s = Annulus(np.zeros(2), 1.0, 1.0005)
+    """A halfspace that meets its window in a 9e-4 share yields 8 sampled
+    points but not 1000, so the bound falls back to 8 pairs; they must be
+    distinct pairs, or the 2 kappa (v - u) part of the gradient vanishes.
+    Here T(u) + 2 kappa (v - u) = v - c."""
+    s = Halfspace(np.array([1.0, 0.0]), 0.0009, np.zeros(2), np.ones(2))
     with pytest.raises(SamplingExhausted):
         s.sample(1000, 0)
     c = np.array([0.2, 0.0])

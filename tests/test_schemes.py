@@ -15,6 +15,7 @@ from proxequil import (
     ConstraintSet,
     MissingGradient,
     EmptyTrace,
+    Halfspace,
     PointNotInSet,
     SolverConfig,
     Status,
@@ -427,6 +428,34 @@ def test_default_step_size():
     assert default_step_size(annulus_pull_inner()) > 0.0
 
 
+def _step_size_loop(problem, seed):
+    """The per-pair estimate that default_step_size batches."""
+    f = problem.bifunction
+    L = 0.0
+    for x, y in zip(problem.feasible_set.sample(100, seed), problem.feasible_set.sample(100, seed + 1)):
+        gap = np.linalg.norm(x - y)
+        if gap > 1e-12:
+            L = max(L, np.linalg.norm(f.grad_v(x, x) - f.grad_v(y, y)) / gap)
+    return 0.5 / (1.0 + L)
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 12])
+def test_default_step_size_matches_the_per_pair_loop(d):
+    """Two grad_v_rows calls and row norms give the loop's estimate to a few
+    ulps, for a skew VI and for a bifunction without a VI operator, on a
+    directly sampled set and on one sampled by rejection."""
+    rng = np.random.default_rng(d)
+    A = np.eye(d) + 0.5 * rng.standard_normal((d, d))
+    vi = make_vi_bifunction(lambda u: u @ A.T)
+    generic = Bifunction(eval=vi.eval, grad_v=lambda u, v: A @ u + 0.5 * (v - u))
+    sets = [Ball(np.zeros(d), 2.0), BoxMinusBall(-np.ones(d), np.ones(d), np.zeros(d), 0.5)]
+    for f in (vi, generic):
+        for s in sets:
+            p = UREProblem(f, s, k=1.0, r=0.5)
+            for seed in (0, 7):
+                assert default_step_size(p, seed) == pytest.approx(_step_size_loop(p, seed), rel=1e-14, abs=0)
+
+
 _SOLVERS = {
     "proximal": proximal_solve,
     "inertial": inertial_proximal_solve,
@@ -438,10 +467,12 @@ _SOLVERS = {
 @pytest.mark.parametrize("solve", _SOLVERS.values(), ids=_SOLVERS.keys())
 def test_infeasible_start_fails_before_sampling(solve):
     """A start outside the set is refused before lambda = auto is resolved:
-    sampling a 12-d ball from its bounding box would run out of draws."""
-    p = UREProblem(pull_bifunction(np.ones(12)), Ball(np.zeros(12), 1.0), k=1.0, r=1.0)
+    sampling this halfspace, which meets its window in a 1e-4 share, would
+    run out of draws."""
+    s = Halfspace(np.array([1.0, 0.0]), -0.9998, -np.ones(2), np.ones(2))
+    p = UREProblem(pull_bifunction(np.ones(2)), s, k=1.0, r=1.0)
     with pytest.raises(PointNotInSet, match="u0 is not in the feasible set"):
-        solve(p, SolverConfig(), np.full(12, 2.0))
+        solve(p, SolverConfig(), np.full(2, 2.0))
 
 
 _OUTSIDE = np.array([5.0, 5.0])
