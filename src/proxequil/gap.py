@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingGradient
-from .geometry import Array, _norm, as_vector
+from .geometry import Array, _is_integer, _norm, as_vector
 from .model import SolverConfig, Trace, UREProblem, _best_response
 from .schemes import _iterate
 
@@ -98,8 +98,8 @@ def check_necessary_condition(problem: UREProblem, n_pairs: int, seed: int) -> N
     d is a descent direction wherever it is nonzero. The two slope terms of
     the quadratic (alpha/2) ||w - u||^2 cancel, so alpha does not appear.
     """
-    if n_pairs <= 0:
-        raise ValueError("n_pairs must be positive")
+    if not (_is_integer(n_pairs) and n_pairs > 0):
+        raise ValueError(f"n_pairs must be a positive integer; got {n_pairs!r}")
     f = problem.bifunction
     if f.grad_u is None:
         raise MissingGradient("necessary-condition check needs the first-slot gradient of F")

@@ -1,6 +1,7 @@
 """Gap function machinery: w-map, value, gradient, line search, descent."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -184,6 +185,14 @@ def test_necessary_condition_reports():
     rep0 = check_necessary_condition(zero, 100, 0)
     assert rep0.passed
     assert rep0.min_value == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n_pairs", [2.5, math.nan, True, 3.0, 0, -1])
+def test_necessary_condition_names_a_bad_n_pairs(n_pairs):
+    """n_pairs is checked here, so a fractional, NaN or bool count does not
+    reach sample's message about an n the caller never passed."""
+    with pytest.raises(ValueError, match=rf"^n_pairs must be a positive integer; got {re.escape(repr(n_pairs))}$"):
+        check_necessary_condition(ball_pull(), n_pairs, 0)
 
 
 def test_necessary_condition_is_the_slope_of_the_affine_part():

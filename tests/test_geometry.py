@@ -2,6 +2,7 @@
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -386,6 +387,45 @@ def test_as_vector_validation():
         as_vector(np.array([1.0, np.nan]))
     with pytest.raises(DimensionMismatch):
         as_vector(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [[1.0, np.nan], [np.inf, 0.0], [0.0, -np.inf], [np.inf, -np.inf], [np.nan, np.inf, 1e200]])
+def test_as_vector_rejects_nan_and_infinity(bad):
+    with pytest.raises(NonFiniteValue, match="^u contains NaN or infinity$"):
+        as_vector(bad, name="u")
+
+
+def test_as_vector_keeps_finite_entries_whose_squares_overflow():
+    """The sum of squares of [1e200, 1.0] overflows to inf, so the entrywise
+    test decides; the sum must overflow silently, since a RuntimeWarning is
+    an error here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([1e200, 1.0], [-1e200, 1e200], np.full(12, np.finfo(float).max)):
+            v = as_vector(x)
+            assert np.array_equal(v, np.asarray(x, dtype=float))
+
+
+def test_as_vector_empty_and_long_vectors():
+    assert as_vector([]).shape == (0,)
+    long = np.random.default_rng(0).standard_normal(10**6)
+    assert as_vector(long, 10**6) is long
+    long[654321] = np.nan
+    with pytest.raises(NonFiniteValue):
+        as_vector(long)
+    strided = np.arange(20.0)[::3]
+    assert as_vector(strided) is strided
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_row_norms_have_the_bits_of_linalg_norm_in_every_dimension(d):
+    """n = 1 and 7 take the one add.reduce call and n = 10^5 the column sum
+    for 2 <= d < 8; mixed magnitudes make any other summing order show."""
+    rng = np.random.default_rng(100 + d)
+    for n in (1, 7, 10**5):
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-150, 151, (n, d)).astype(float)
+        X[rng.random((n, d)) < 0.05] = 0.0
+        assert _same_bits(_row_norms(X), np.linalg.norm(X, axis=1))
 
 
 # One 2-d instance per kind, with list and int inputs.

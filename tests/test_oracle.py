@@ -36,7 +36,7 @@ from proxequil import (
     grid_solve,
     make_vi_bifunction,
 )
-from proxequil.oracle import _inner_lipschitz
+from proxequil.oracle import _inner_lipschitz, _vi_grid_argmax
 from problems import (
     annulus_pull_inner,
     annulus_pull_outer,
@@ -137,6 +137,14 @@ def _random_vi_case(seed, dim, kind):
     return s, make_vi_bifunction(lambda u: u @ A.T + b), res
 
 
+def _lattice(s, res):
+    """The feasible nodes of a res-cell grid over the set's bounding box."""
+    lo, hi = s.bounding_box
+    axes = [np.linspace(lo[i], hi[i], res + 1) for i in range(s.dim)]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return points[s.contains_batch(points)]
+
+
 def _dense_max_min(f, V, kappa):
     """m(u) = min over every v of F(u, v) + kappa ||v - u||^2, one row at a time."""
     return np.array([np.min(f.eval_rows(u, V) + kappa * np.sum((V - u) ** 2, axis=1)) for u in V])
@@ -149,10 +157,7 @@ def test_vi_grid_max_min_matches_dense(dim, kind, kappa):
     """The early-abandoning VI max-min returns the dense n x n max-min."""
     for seed in range(6):
         s, f, res = _random_vi_case(seed, dim, kind)
-        lo, hi = s.bounding_box
-        axes = [np.linspace(lo[i], hi[i], res + 1) for i in range(dim)]
-        points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
-        V = points[s.contains_batch(points)]
+        V = _lattice(s, res)
         # grid_solve reads only these three fields; a namespace also admits
         # kappa = 0 on the nonconvex sets, which UREProblem refuses.
         out = grid_solve(SimpleNamespace(bifunction=f, feasible_set=s, kappa=kappa), GridSpec(res))
@@ -164,13 +169,69 @@ def test_vi_grid_max_min_matches_dense(dim, kind, kappa):
             np.testing.assert_array_equal(out.point, V[np.argmax(m)])
 
 
+def _dense_max_min_in_row_blocks(T, V, kappa):
+    """m(u) = min over every v of <T(u), v - u> + kappa ||v - u||^2, 512 rows at a time."""
+    m = np.empty(V.shape[0])
+    vsq = np.sum(V * V, axis=1)
+    for start in range(0, V.shape[0], 512):
+        U, TU = V[start : start + 512], T[start : start + 512]
+        sq = vsq[None, :] - 2.0 * U @ V.T + np.sum(U * U, axis=1)[:, None]
+        m[start : start + 512] = (TU @ V.T - np.sum(TU * U, axis=1)[:, None] + kappa * sq).min(axis=1)
+    return m
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5])
+@pytest.mark.parametrize("dim, kind, res, seed", [(2, "annulus", 100, 3), (3, "ball", 20, 2)])
+def test_vi_grid_max_min_matches_dense_across_row_chunks(dim, kind, res, seed, kappa):
+    """On grids of more than 8 + 4096 nodes the rows after the first 8 run in
+    2048-row chunks, and the argmax is still the dense max-min's. T(u) =
+    A (u - p) with A = I + skew and p outside the set puts the winner on the
+    boundary, hundreds of rows into the stable order of ||T||^2."""
+    rng = np.random.default_rng(seed)
+    s = Annulus(np.zeros(dim), 0.5, 1.0) if kind == "annulus" else Ball(np.zeros(dim), 1.0)
+    S = rng.normal(size=(dim, dim))
+    p = rng.normal(size=dim)
+    V = _lattice(s, res)
+    assert V.shape[0] > 8 + 4096
+    T = (V - 1.6 * p / np.linalg.norm(p)) @ (np.eye(dim) + 2.0 * (S - S.T)).T
+    row, value = _vi_grid_argmax(T, V, kappa)
+    m = _dense_max_min_in_row_blocks(T, V, kappa)
+    assert value == pytest.approx(m.max(), abs=1e-9)
+    top, second = np.sort(m)[::-1][:2]
+    assert top - second > 1e-3
+    assert row == np.argmax(m)
+    order = np.argsort(np.einsum("ij,ij->i", T, T), kind="stable")
+    assert np.flatnonzero(order == row)[0] >= 8
+
+
+def test_vi_grid_ties_keep_the_first_row_of_the_stable_order():
+    """T(u) = (2 - y, 0) on the unit box: every node of the face x = 0 ties
+    at m = 0 exactly and no other node reaches it. The rows are taken in the
+    stable order of ||T||^2 = (2 - y)^2, so the corner (0, 1) wins, not the
+    first node (0, 0) in index order."""
+    box = Box(np.zeros(2), np.ones(2))
+    f = make_vi_bifunction(lambda u: np.stack([2.0 - u[..., 1], np.zeros_like(u[..., 0])], axis=-1))
+    V = _lattice(box, 70)
+    T = f.grad_v_rows(V, V)
+    m = _dense_max_min_in_row_blocks(T, V, 0.0)
+    assert m.max() == 0.0
+    assert np.array_equal(np.flatnonzero(m == 0.0), np.flatnonzero(V[:, 0] == 0.0))
+    row, value = _vi_grid_argmax(T, V, 0.0)
+    assert value == 0.0
+    np.testing.assert_array_equal(V[row], [0.0, 1.0])
+    res = grid_solve(UREProblem(f, box, k=1.0, r=np.inf), GridSpec(70))
+    np.testing.assert_array_equal(res.point, [0.0, 1.0])
+
+
 def test_vi_grid_zero_operator_keeps_every_row():
     """With T = 0 and kappa = 0 every row ties at m = 0, so none is dropped
-    and every v-block size runs (128, 512, 2048, then 4096 points)."""
+    and the first 8 rows run every v-block width (8, 32, 128, 512, 2048,
+    then 4096 points). The later 2048-row chunks run 32-point blocks, the
+    widest whose product fits in MAX_BLOCK = 2^16 entries."""
     zero = make_vi_bifunction(lambda u: np.zeros_like(u))
     p = UREProblem(zero, Ball(np.zeros(2), 1.0), k=1.0, r=np.inf)
     res = grid_solve(p, GridSpec(120))
-    assert res.n_feasible > 128 + 512 + 2048 + 4096
+    assert res.n_feasible > 8 + 32 + 128 + 512 + 2048 + 4096
     assert res.inner_value == 0.0
     assert res.certified
     # Ties keep the first row of the stable order: the first feasible node.
@@ -294,6 +355,15 @@ def test_pseudomonotone_rejects_a_non_finite_or_negative_kappa():
     for bad in (math.nan, math.inf, -math.inf, -0.5):
         with pytest.raises(ValueError, match=f"^kappa must be finite and nonnegative; got {bad!r}$"):
             check_pseudomonotone(flip, ball, bad, n_pairs=2000)
+
+
+@pytest.mark.parametrize("n_pairs", [2.5, math.nan, True, 3.0, 0, -1])
+def test_pseudomonotone_names_a_bad_n_pairs(n_pairs):
+    """n_pairs is checked here, so a fractional, NaN or bool count does not
+    reach sample's message about an n the caller never passed."""
+    ident = make_vi_bifunction(lambda u: u)
+    with pytest.raises(ValueError, match=rf"^n_pairs must be a positive integer; got {re.escape(repr(n_pairs))}$"):
+        check_pseudomonotone(ident, Ball(np.zeros(2), 1.0), 0.0, n_pairs=n_pairs)
 
 
 def test_pseudomonotone_sign_flip_fails():
