@@ -76,12 +76,15 @@ def _norm(x: Array) -> float:
     """The Euclidean norm of a 1-d float64 vector, with the bits of
     ``float(np.linalg.norm(x))``.
 
-    For such input ``np.linalg.norm`` computes ``sqrt(x.dot(x))``; on a
-    contiguous x, ``x @ x`` is the same BLAS dot without norm's dispatch. A
-    strided view goes to ``np.linalg.norm``, which sums it in another order.
+    For such input ``np.linalg.norm`` computes ``sqrt(x.dot(x))`` on
+    ``x.ravel(order="K")``, which is x itself when x is contiguous; there
+    this makes the same dot call without norm's dispatch, and ``x.dot``
+    costs about half of ``x @ x`` at d = 2 (0.9 against 1.7 us, numpy 2.4).
+    A strided view goes to ``np.linalg.norm``, because ravel copies it and
+    BLAS may sum the view in another order than the copy.
     """
     if x.flags.c_contiguous:
-        return math.sqrt(x @ x)
+        return math.sqrt(x.dot(x))
     return float(np.linalg.norm(x))
 
 
@@ -97,15 +100,37 @@ def _row_norms(X: Array) -> Array:
     Below 8 terms ``add.reduce`` sums a row left to right, so for 2 <= d < 8
     adding the squared columns one after another gives the same bits, and on
     a grid of 10^5 rows it is 3 to 6 times faster than reducing each short
-    row. Under 128 rows the one reduce call costs less.
+    row. Each column is squared on its own and the root is taken in place,
+    so that sum makes no (n, d) temporary. Under 128 rows the one reduce
+    call costs less.
     """
-    sq = X * X
     if X.shape[0] < 128 or not 2 <= X.shape[1] < 8:
-        return np.sqrt(np.add.reduce(sq, axis=1))
-    total = sq[:, 0] + sq[:, 1]
-    for j in range(2, X.shape[1]):
-        total += sq[:, j]
-    return np.sqrt(total)
+        return np.sqrt(np.add.reduce(X * X, axis=1))
+    total = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        total += X[:, j] * X[:, j]
+    return np.sqrt(total, out=total)
+
+
+def _by_rows(ufunc, X: Array, row: Array) -> Array:
+    """``ufunc(X, row)`` for a 2-d float64 X and a row of X's width, with the
+    bits of that broadcast.
+
+    numpy runs the broadcast with an inner loop as long as a row, so on short
+    rows it is several times slower than one call per column, each along the
+    long axis: 1.9 against 0.55 ms on 160,801 x 2, and 105 against 24 us on
+    10^4 x 2 (numpy 2.4, one core). The columns are taken on _row_norms's
+    rule, for 2 <= d < 8 on 128 rows or more; from d = 8 on the loop over
+    columns is the slower. Their result is in C order, as the broadcast's is
+    for a C-order X, so a BLAS product that follows it sums in the same
+    order.
+    """
+    if X.shape[0] < 128 or not 2 <= X.shape[1] < 8:
+        return ufunc(X, row)
+    out = np.empty(X.shape)
+    for j in range(X.shape[1]):
+        ufunc(X[:, j], row[j], out=out[:, j])
+    return out
 
 
 @dataclass(frozen=True)
@@ -256,7 +281,7 @@ class ConstraintSet:
         if not r > 0:
             raise ValueError("prox constant must be positive")
         V = self.sample(n_samples, seed)
-        D = V - u
+        D = _by_rows(np.subtract, V, u)
         curvature = 0.0 if math.isinf(r) else 0.5 / r
         violation = D @ w - curvature * np.einsum("ij,ij->i", D, D)
         i = int(np.argmax(violation))
@@ -311,7 +336,7 @@ class Box(ConstraintSet):
         return self.lower, self.upper
 
     def _distance_batch(self, X: Array) -> Array:
-        return _row_norms(X - np.minimum(np.maximum(X, self.lower), self.upper))
+        return _row_norms(X - _by_rows(np.minimum, _by_rows(np.maximum, X, self.lower), self.upper))
 
     def _nearest(self, x: Array) -> Array:
         return np.minimum(np.maximum(x, self.lower), self.upper)
@@ -333,7 +358,7 @@ class Ball(ConstraintSet):
         return self.center - self.radius, self.center + self.radius
 
     def _distance_batch(self, X: Array) -> Array:
-        d = _row_norms(X - self.center) - self.radius
+        d = _row_norms(_by_rows(np.subtract, X, self.center)) - self.radius
         return np.maximum(d, 0.0)
 
     def _nearest(self, x: Array) -> Array:
@@ -416,7 +441,7 @@ class Sphere(ConstraintSet):
         return self.center - self.radius, self.center + self.radius
 
     def _distance_batch(self, X: Array) -> Array:
-        return np.abs(_row_norms(X - self.center) - self.radius)
+        return np.abs(_row_norms(_by_rows(np.subtract, X, self.center)) - self.radius)
 
     def _nearest(self, x: Array) -> Array:
         offset = x - self.center
@@ -449,7 +474,7 @@ class Annulus(ConstraintSet):
         return self.center - self.outer_radius, self.center + self.outer_radius
 
     def _distance_batch(self, X: Array) -> Array:
-        d = _row_norms(X - self.center)
+        d = _row_norms(_by_rows(np.subtract, X, self.center))
         return np.maximum(0.0, np.maximum(self.inner_radius - d, d - self.outer_radius))
 
     def _nearest(self, x: Array) -> Array:
@@ -499,8 +524,8 @@ class BoxMinusBall(ConstraintSet):
         return self.lower, self.upper
 
     def _distance_batch(self, X: Array) -> Array:
-        to_box = _row_norms(X - np.minimum(np.maximum(X, self.lower), self.upper))
-        radial = _row_norms(X - self.center)
+        to_box = _row_norms(X - _by_rows(np.minimum, _by_rows(np.maximum, X, self.lower), self.upper))
+        radial = _row_norms(_by_rows(np.subtract, X, self.center))
         in_box = to_box == 0.0
         return np.where(in_box, np.maximum(self.radius - radial, 0.0), to_box)
 
@@ -545,8 +570,8 @@ class TwoBallUnion(ConstraintSet):
         return lo, hi
 
     def _distance_batch(self, X: Array) -> Array:
-        da = np.maximum(_row_norms(X - self.center_a) - self.radius_a, 0.0)
-        db = np.maximum(_row_norms(X - self.center_b) - self.radius_b, 0.0)
+        da = np.maximum(_row_norms(_by_rows(np.subtract, X, self.center_a)) - self.radius_a, 0.0)
+        db = np.maximum(_row_norms(_by_rows(np.subtract, X, self.center_b)) - self.radius_b, 0.0)
         return np.minimum(da, db)
 
     def _nearest(self, x: Array) -> Array:

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._minimize import multistart_minimize
 from .errors import DimensionMismatch, MissingGradient, NonFiniteValue, ValidationError
-from .geometry import Array, ConstraintSet, _cached_sample, _is_integer
+from .geometry import Array, ConstraintSet, _by_rows, _cached_sample, _is_integer
 
 
 class Status(enum.Enum):
@@ -90,7 +90,7 @@ class Bifunction:
         if self.vi_operator is None:
             return np.array([self(u, v) for u, v in zip(np.broadcast_to(U, V.shape), V)], dtype=float)
         if np.ndim(U) == 1:
-            return (V - U) @ np.asarray(self.vi_operator(U), dtype=float)
+            return _by_rows(np.subtract, V, U) @ np.asarray(self.vi_operator(U), dtype=float)
         return np.einsum("ij,ij->i", V - U, self.grad_v_rows(U, V))
 
     def grad_v_rows(self, U: Array, V: Array) -> Array:

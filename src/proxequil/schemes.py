@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import EmptyTrace, SubproblemFailed
-from .geometry import Array, _cached_sample, _norm, _row_norms, as_vector
+from .geometry import Array, _by_rows, _cached_sample, _norm, _row_norms, as_vector
 from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem
 
 
@@ -78,9 +78,9 @@ def solve_subproblem(problem: UREProblem, u_n, u_prev, cfg: SolverConfig) -> Arr
         w = g
         if r_norm < r_prev_norm:
             dr = r - r_prev
-            dr_sq = float(dr @ dr)
+            dr_sq = float(dr.dot(dr))
             if dr_sq > 0.0:
-                w = g - (float(r @ dr) / dr_sq) * (g - g_prev)
+                w = g - (float(r.dot(dr)) / dr_sq) * (g - g_prev)
         g_prev, r_prev, r_prev_norm = g, r, r_norm
     raise SubproblemFailed(
         f"no fixed point to {cfg.inner_tol:g} within {cfg.max_inner} sweeps"
@@ -107,7 +107,7 @@ def verify_subproblem_inequality(problem: UREProblem, u_n, u_prev, w, cfg: Solve
     w = as_vector(w, problem.dim, "w")
     V = _cached_sample(problem.feasible_set, 10000, cfg.seed)
     shift = (1.0 + problem.kappa) * (w - z)
-    vals = cfg.lam * problem.bifunction.eval_rows(w, V) + (V - w) @ shift
+    vals = cfg.lam * problem.bifunction.eval_rows(w, V) + _by_rows(np.subtract, V, w) @ shift
     i = int(np.argmin(vals))
     worst = float(-vals[i])
     return SubproblemCheck(worst <= 1e-8, worst, V[i], V.shape[0])

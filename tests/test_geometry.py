@@ -23,7 +23,7 @@ from proxequil import (
     Sphere,
     TwoBallUnion,
 )
-from proxequil.geometry import SET_KINDS, _norm, _row_norms, as_vector
+from proxequil.geometry import SET_KINDS, _by_rows, _norm, _row_norms, as_vector
 from problems import exterior_boundary_pairs, shipped_sets
 
 CONVEX_KINDS = (Box, Ball, Halfspace)
@@ -141,8 +141,10 @@ def test_box_minus_ball_projections():
 
 
 def _same_bits(a, b) -> bool:
-    a, b = np.asarray(a), np.asarray(b)
-    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    """Equal shapes and equal 64-bit words, signed zeros and NaN payloads included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    words = [np.ascontiguousarray(x).view(np.uint64) for x in (a, b)]
+    return a.shape == b.shape and np.array_equal(*words)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 8, 12])
@@ -426,6 +428,63 @@ def test_row_norms_have_the_bits_of_linalg_norm_in_every_dimension(d):
         X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-150, 151, (n, d)).astype(float)
         X[rng.random((n, d)) < 0.05] = 0.0
         assert _same_bits(_row_norms(X), np.linalg.norm(X, axis=1))
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_row_broadcasts_have_the_bits_of_the_plain_call(d):
+    """_by_rows(ufunc, X, row) gives the bits of ufunc(X, row) for NaN, +-inf
+    and signed zeros in X and in the row, on C-order, F-order and strided X,
+    with a C-order result for a C-order X; it calls the ufunc once per column
+    exactly when 2 <= d < 8 on 128 rows or more, and otherwise once on X."""
+    rng = np.random.default_rng(300 + d)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    row = np.where(rng.random(d) < 0.4, rng.choice(special, d), rng.standard_normal(d))
+    for n in (1, 127, 128, 10**5):
+        wide = rng.standard_normal((n, d + 1))
+        marked = rng.random((n, d + 1)) < 0.1
+        wide[marked] = rng.choice(special, marked.sum())
+        X = wide[:, 1:].copy()
+        for layout in (X, np.asfortranarray(X), wide[:, 1:]):
+            for ufunc in (np.subtract, np.maximum, np.minimum):
+                calls = []
+
+                def counted(*args, **kwargs):
+                    calls.append(args)
+                    return ufunc(*args, **kwargs)
+
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    got, want = _by_rows(counted, layout, row), ufunc(layout, row)
+                assert _same_bits(got, want), (ufunc, n, layout.strides)
+                assert got.flags.c_contiguous or not layout.flags.c_contiguous
+                if n >= 128 and 2 <= d < 8:
+                    assert len(calls) == d
+                else:
+                    assert len(calls) == 1 and calls[0][0] is layout
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", sorted(SET_KINDS))
+def test_set_kernels_ignore_the_memory_layout(kind, d):
+    """contains_batch and _distance_batch give the same arrays on C-order,
+    F-order and strided copies of 300 points, signed zeros among them, and
+    distance(x) of each row, a one-row broadcast, gives its batch entry's
+    bits. A halfspace's distance is a BLAS matrix-vector product, which sums
+    in an order that follows the layout at d = 3, so its distances agree to
+    1e-14 (1 + ||x||)."""
+    s = _kind_in_dim(kind, d)
+    X = _random_points(s, 300, seed=d)
+    X[::5, 0] = -0.0
+    X[::7, -1] = 0.0
+    wide = np.zeros((300, 2 * d))
+    wide[:, ::2] = X
+    distances, inside = s._distance_batch(X), s.contains_batch(X)
+    for Y in (X, np.asfortranarray(X), wide[:, ::2]):
+        assert np.array_equal(s.contains_batch(Y), inside)
+        for got in (s._distance_batch(Y), np.array([s.distance(y) for y in Y])):
+            if kind == "halfspace":
+                assert np.all(np.abs(got - distances) <= 1e-14 * (1.0 + np.linalg.norm(X, axis=1)))
+            else:
+                assert _same_bits(got, distances)
 
 
 # One 2-d instance per kind, with list and int inputs.
