@@ -400,7 +400,7 @@ class Halfspace(ConstraintSet):
         return self.window_lower, self.window_upper
 
     def _distance_batch(self, X: Array) -> Array:
-        excess = (X @ self.normal - self.offset) / _norm(self.normal)
+        excess = (np.add.reduce(_by_rows(np.multiply, X, self.normal), axis=1) - self.offset) / _norm(self.normal)
         return np.maximum(excess, 0.0)
 
     def _nearest(self, x: Array) -> Array:

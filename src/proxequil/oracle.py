@@ -10,19 +10,16 @@ grid_solve scores every feasible grid point u by the worst value
 
 and returns the argmax. Since v = u contributes zero, m(u) <= 0 with equality
 exactly at grid solutions; the best point is certified when m is within a
-sampled-Lipschitz tolerance C * h of zero. T at every grid point and the
-sampled gradients behind C each come from one Bifunction.grad_v_rows call,
-which trusts a VI's T to map rows (see make_vi_bifunction) without probing
-it. The VI form F(u, v) = <T(u), v-u> expands to a matrix product, evaluated
-in chunks with early abandoning: a row whose running minimum already fell
-below the best certified value so far can never become the argmax and is
-dropped from later blocks. The 8 rows of smallest ||T|| complete first and
-set the bar. Every row starts on an 8-point v-block, the blocks grow
-fourfold up to 4096 points, and each block is one product laid out so that
-its minimum runs along the block. On the 400-cell 2-d grids of perfbench's
-audit workload that is 22 to 38 products per node, against 163 to 171 with
-128-point first blocks. Any other bifunction is scored by one
-Bifunction.eval_rows call per 128-point v-block, abandoned the same way.
+sampled-Lipschitz tolerance C * h of zero. grad_v F(u, u) at every grid
+point and the sampled gradients behind C each come from one
+Bifunction.grad_v_rows call, which trusts a VI's T to map rows (see
+make_vi_bifunction) without probing it. One search, _grid_argmax, runs the
+max-min for every bifunction and abandons a row once its running minimum
+falls below the best completed value. A bifunction supplies only the minima
+over a v-block: for a VI one matrix product (_vi_scorer), 22 to 38 per node
+on the 400-cell 2-d grids of perfbench's audit workload; for any other one
+Bifunction.eval_rows call (_eval_scorer), about 24 evaluations per node on
+the 952-node grid of the shipped annulus_inertial config at resolution 40.
 
 The grid's arrays are (n, 2) or (n, 3), a shape on which numpy's fancy
 indexing and its broadcasts of one row are several times slower than need
@@ -45,7 +42,7 @@ from .model import Bifunction, UREProblem, _enforce
 
 MAX_GRID_POINTS = int(1e7)
 MAX_GENERIC_EVALS = int(4e6)
-MAX_BLOCK = 2**16  # entries of one max-min product (512 KiB); wider ones raised peak memory, not speed
+MAX_BLOCK = 2**16  # pairs of one max-min block (for a VI a 512 KiB product); wider ones raised peak memory, not speed
 
 _GRID_RULES = (
     ("resolution", "must be an integer", _is_integer),
@@ -123,36 +120,23 @@ def _inner_lipschitz(p: UREProblem) -> float:
     return 2.0 * float(_row_norms(grads).max())
 
 
-def _vi_grid_argmax(T_all: Array, V: Array, kappa: float) -> tuple[int, float]:
-    """Argmax over rows u of min over v of <T(u), v-u> + kappa||v-u||^2.
+def _grid_argmax(V: Array, G: Array, score) -> tuple[int, float]:
+    """Argmax over rows u of V of m(u) = min over rows v of V of F(u, v) +
+    kappa||v-u||^2, given G(u) = grad_v F(u, u) at each row and score(rows,
+    B), that minimum over the points v of B for each u = V[rows].
 
-    For row u the inner objective over all v is one matrix-vector expression:
-        (T(u) - 2 kappa u) . v + kappa ||v||^2 + (kappa ||u||^2 - T(u) . u).
-    Rows are taken in the stable order of ||T(u)||^2, the 8 smallest first and
-    then 2048 at a time, against shuffled v-blocks of 8, 32, 128, 512, 2048
-    and then 4096 points. Each block is one product of shape (block, rows),
-    reduced along the block with min(axis=0), which numpy runs as a
-    vectorised pass over the rows; a block narrows so that no product holds
-    more than MAX_BLOCK entries. The shuffle and each chunk's rows are
-    gathered with np.take, and the rows a block keeps with np.compress,
-    which on these (n, d) arrays cost a fifth to an eighth of fancy indexing.
+    Rows are taken in the stable order of ||G||^2 (||T||^2 for a VI), the 8
+    smallest first and then 2048 at a time, against shuffled v-blocks of 8,
+    32, 128, 512, 2048 and then 4096 points, each of at most MAX_BLOCK pairs.
     After each block a row whose running minimum falls below the best
-    completed row is abandoned, so every row of the first chunk completes.
-    The 8-point first block drops most rows after 8 products; a dropped
-    row's true m is already below a completed one, so the argmax is that of
-    the dense max-min, and among equal m the first row of the stable order
-    wins. BLAS may round a product differently in its last bit with the
-    number of rows still active, so near-ties can break on that rounding.
+    completed row is abandoned, so every row of the first chunk completes;
+    the 8-point first block drops most rows after 8 values. A dropped row's
+    true m is already below a completed one, so the argmax is that of the
+    dense max-min, and among equal m the first row of the stable order wins.
     """
     n = V.shape[0]
-    vsq = np.einsum("ij,ij->i", V, V)
-    lin = T_all - 2.0 * kappa * V
-    const = kappa * vsq - np.einsum("ij,ij->i", T_all, V)
-
-    order = np.argsort(np.einsum("ij,ij->i", T_all, T_all), kind="stable")
-    shuffle = np.random.default_rng(0).permutation(n)
-    v_lin = np.take(V, shuffle, axis=0)
-    v_off = kappa * vsq[shuffle]
+    order = np.argsort(np.einsum("ij,ij->i", G, G), kind="stable")
+    shuffled = np.take(V, np.random.default_rng(0).permutation(n), axis=0)
 
     best_m = -np.inf
     best_row = -1
@@ -160,23 +144,53 @@ def _vi_grid_argmax(T_all: Array, V: Array, kappa: float) -> tuple[int, float]:
         # An abandoned row's running minimum is only an upper bound on its
         # true m; abandonment is sound because the true m can only be lower,
         # and the row was already beaten.
-        L, c, mins = np.take(lin, rows, axis=0), const[rows], np.full(rows.shape[0], np.inf)
+        mins = np.full(rows.shape[0], np.inf)
         start, width = 0, 8
         while start < n and rows.size:
             stop = start + min(width, MAX_BLOCK // rows.size)
-            block = v_lin[start:stop] @ L.T
-            block += v_off[start:stop, None]
-            mins = np.minimum(mins, block.min(axis=0))
-            keep = mins + c >= best_m
-            rows, L, c, mins = rows[keep], np.compress(keep, L, axis=0), c[keep], mins[keep]
+            mins = np.minimum(mins, score(rows, shuffled[start:stop]))
+            keep = mins >= best_m
+            rows, mins = rows[keep], mins[keep]
             start, width = stop, min(4 * width, 4096)
-        if rows.size:
-            m = mins + c
-            j = int(np.argmax(m))
-            if m[j] > best_m:
-                best_m = float(m[j])
-                best_row = int(rows[j])
+        if rows.size and mins.max() > best_m:
+            j = int(np.argmax(mins))
+            best_m = float(mins[j])
+            best_row = int(rows[j])
     return best_row, best_m
+
+
+def _vi_scorer(T: Array, V: Array, kappa: float):
+    """Block minima of a VI with T its operator at each row of V. For row u
+    the inner objective over all v is one matrix-vector expression:
+        (T(u) - 2 kappa u) . v + kappa ||v||^2 + (kappa ||u||^2 - T(u) . u),
+    so a block is one product of shape (block, rows), reduced with
+    min(axis=0) in a vectorised pass over the rows; the last term, added to
+    the minima, rounds as it would on every entry. BLAS may round a product
+    differently in its last bit with the number of rows still active, so
+    near-ties can break on that."""
+    lin = T - 2.0 * kappa * V
+    const = kappa * np.einsum("ij,ij->i", V, V) - np.einsum("ij,ij->i", T, V)
+
+    def score(rows, B):
+        block = B @ np.take(lin, rows, axis=0).T
+        block += kappa * np.einsum("ij,ij->i", B, B)[:, None]
+        return block.min(axis=0) + const[rows]
+
+    return score
+
+
+def _eval_scorer(f: Bifunction, V: Array, kappa: float):
+    """Block minima of any bifunction: one eval_rows call on the pairs of
+    the active rows of V and the block, plus kappa ||v - u||^2."""
+
+    def score(rows, B):
+        U = np.repeat(np.take(V, rows, axis=0), B.shape[0], axis=0)
+        W = np.tile(B, (rows.size, 1))
+        D = W - U
+        vals = f.eval_rows(U, W) + kappa * np.einsum("ij,ij->i", D, D)
+        return vals.reshape(rows.size, B.shape[0]).min(axis=1)
+
+    return score
 
 
 def grid_solve(p: UREProblem, gs: GridSpec) -> OracleResult:
@@ -184,41 +198,26 @@ def grid_solve(p: UREProblem, gs: GridSpec) -> OracleResult:
 
     Returns the feasible grid point with the largest worst-case inner value
     m(u), certified when m(u) >= -C h for the grid spacing h and a sampled
-    Lipschitz bound C of the inner objective.
+    Lipschitz bound C of the inner objective. Without a VI operator,
+    n^2 > MAX_GENERIC_EVALS raises before any evaluation.
     """
     f = p.bifunction
     points, h = _grid_points(p.feasible_set, gs)
     feasible = p.feasible_set.contains_batch(points)
     V = np.compress(feasible, points, axis=0)
-    if V.shape[0] == 0:
+    n = V.shape[0]
+    if n == 0:
         raise EmptyGrid("no grid point passed the membership test")
-    C = _inner_lipschitz(p)
-
-    if f.vi_operator is not None:
-        row, m_best = _vi_grid_argmax(f.grad_v_rows(V, V), V, p.kappa)
-    else:
-        n = V.shape[0]
-        if n * n > MAX_GENERIC_EVALS:
-            raise GridTooLarge(
-                f"{n}^2 bifunction evaluations exceed the {MAX_GENERIC_EVALS} guard; "
-                "lower the resolution for bifunctions without a VI operator"
-            )
-        m_best = -np.inf
-        row = -1
-        for i, u in enumerate(V):
-            running = np.inf
-            for start in range(0, n, 128):
-                B = V[start : start + 128]
-                D = B - u
-                vals = f.eval_rows(u, B) + p.kappa * np.einsum("ij,ij->i", D, D)
-                running = min(running, float(vals.min()))
-                if running < m_best:
-                    break
-            if running > m_best:
-                m_best = running
-                row = i
-    tol = C * h
-    return OracleResult(V[row], float(m_best), bool(m_best >= -tol), float(tol), h, int(V.shape[0]))
+    if f.vi_operator is None and n * n > MAX_GENERIC_EVALS:
+        raise GridTooLarge(
+            f"{n}^2 bifunction evaluations exceed the {MAX_GENERIC_EVALS} guard; "
+            "lower the resolution for bifunctions without a VI operator"
+        )
+    tol = _inner_lipschitz(p) * h
+    G = f.grad_v_rows(V, V)
+    score = _vi_scorer(G, V, p.kappa) if f.vi_operator is not None else _eval_scorer(f, V, p.kappa)
+    row, m_best = _grid_argmax(V, G, score)
+    return OracleResult(V[row], float(m_best), bool(m_best >= -tol), float(tol), h, n)
 
 
 @dataclass(frozen=True, eq=False)

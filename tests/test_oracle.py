@@ -36,7 +36,8 @@ from proxequil import (
     grid_solve,
     make_vi_bifunction,
 )
-from proxequil.oracle import _inner_lipschitz, _vi_grid_argmax
+from proxequil.config import build_problem, parse_config
+from proxequil.oracle import MAX_GENERIC_EVALS, _grid_argmax, _inner_lipschitz, _vi_scorer
 from problems import (
     annulus_pull_inner,
     annulus_pull_outer,
@@ -45,6 +46,8 @@ from problems import (
     pull_bifunction,
     two_ball_trap,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_ball_pull_frozen():
@@ -106,16 +109,24 @@ def test_refinement_keeps_certified_point():
 
 
 def test_zero_bifunction_every_point_solves():
-    """With F identically zero, m(u) = min_v kappa*||v-u||^2 = 0 at v = u."""
-    zero = Bifunction(
-        eval=lambda u, v: 0.0,
-        grad_v=lambda u, v: np.zeros(2),
-    )
-    p = UREProblem(zero, Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
+    """With F identically zero, m(u) = min_v kappa*||v-u||^2 = 0 at v = u.
+    Every row ties, so the search abandons none: it makes all n^2
+    evaluations, and the first feasible node wins."""
+    calls = [0]
+
+    def zero(u, v):
+        calls[0] += 1
+        return 0.0
+
+    p = UREProblem(Bifunction(eval=zero, grad_v=lambda u, v: np.zeros(2)), Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
     res = grid_solve(p, GridSpec(20))
     assert res.certified
     assert res.inner_value == 0.0
     assert res.n_feasible > 0
+    assert calls[0] == res.n_feasible**2
+    lattice = np.linspace(-1.0, 1.0, 21)
+    first = next(np.array([x, y]) for x in lattice for y in lattice if x * x + y * y <= 1.0)
+    np.testing.assert_array_equal(res.point, first)
 
 
 def _random_vi_case(seed, dim, kind):
@@ -150,23 +161,46 @@ def _dense_max_min(f, V, kappa):
     return np.array([np.min(f.eval_rows(u, V) + kappa * np.sum((V - u) ** 2, axis=1)) for u in V])
 
 
+def _twin(f, calls=None):
+    """f without its VI operator, so that grid_solve scores it through
+    eval_rows; each F evaluation adds one to calls[0] when calls is given."""
+
+    def ev(u, v):
+        if calls is not None:
+            calls[0] += 1
+        return f.eval(u, v)
+
+    return Bifunction(eval=ev, grad_v=f.grad_v)
+
+
 @pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("kind", ["ball", "annulus", "two_ball_union"])
 @pytest.mark.parametrize("dim", [2, 3])
 def test_vi_grid_max_min_matches_dense(dim, kind, kappa):
-    """The early-abandoning VI max-min returns the dense n x n max-min."""
+    """The early-abandoning max-min returns the dense n x n max-min, for a VI
+    and for its twin without the VI operator. The twin's grids above
+    MAX_GENERIC_EVALS (two 3-d balls of 2,109 nodes) raise GridTooLarge
+    before any evaluation of F."""
     for seed in range(6):
         s, f, res = _random_vi_case(seed, dim, kind)
         V = _lattice(s, res)
-        # grid_solve reads only these three fields; a namespace also admits
-        # kappa = 0 on the nonconvex sets, which UREProblem refuses.
-        out = grid_solve(SimpleNamespace(bifunction=f, feasible_set=s, kappa=kappa), GridSpec(res))
         m = _dense_max_min(f, V, kappa)
-        assert out.n_feasible == V.shape[0]
-        assert out.inner_value == pytest.approx(m.max(), abs=1e-9)
         top, second = np.sort(m)[::-1][:2]
-        if top - second > 1e-9:
-            np.testing.assert_array_equal(out.point, V[np.argmax(m)])
+        calls = [0]
+        for g in (f, _twin(f, calls)):
+            # grid_solve reads only these three fields; a namespace also admits
+            # kappa = 0 on the nonconvex sets, which UREProblem refuses.
+            problem = SimpleNamespace(bifunction=g, feasible_set=s, kappa=kappa)
+            if g is not f and V.shape[0] ** 2 > MAX_GENERIC_EVALS:
+                with pytest.raises(GridTooLarge):
+                    grid_solve(problem, GridSpec(res))
+                assert calls == [0]
+                continue
+            out = grid_solve(problem, GridSpec(res))
+            assert out.n_feasible == V.shape[0]
+            assert out.inner_value == pytest.approx(m.max(), abs=1e-9)
+            if top - second > 1e-9:
+                np.testing.assert_array_equal(out.point, V[np.argmax(m)])
 
 
 def _dense_max_min_in_row_blocks(T, V, kappa):
@@ -194,7 +228,7 @@ def test_vi_grid_max_min_matches_dense_across_row_chunks(dim, kind, res, seed, k
     V = _lattice(s, res)
     assert V.shape[0] > 8 + 4096
     T = (V - 1.6 * p / np.linalg.norm(p)) @ (np.eye(dim) + 2.0 * (S - S.T)).T
-    row, value = _vi_grid_argmax(T, V, kappa)
+    row, value = _grid_argmax(V, T, _vi_scorer(T, V, kappa))
     m = _dense_max_min_in_row_blocks(T, V, kappa)
     assert value == pytest.approx(m.max(), abs=1e-9)
     top, second = np.sort(m)[::-1][:2]
@@ -216,11 +250,40 @@ def test_vi_grid_ties_keep_the_first_row_of_the_stable_order():
     m = _dense_max_min_in_row_blocks(T, V, 0.0)
     assert m.max() == 0.0
     assert np.array_equal(np.flatnonzero(m == 0.0), np.flatnonzero(V[:, 0] == 0.0))
-    row, value = _vi_grid_argmax(T, V, 0.0)
+    row, value = _grid_argmax(V, T, _vi_scorer(T, V, 0.0))
     assert value == 0.0
     np.testing.assert_array_equal(V[row], [0.0, 1.0])
     res = grid_solve(UREProblem(f, box, k=1.0, r=np.inf), GridSpec(70))
     np.testing.assert_array_equal(res.point, [0.0, 1.0])
+
+
+def test_generic_grid_ties_keep_the_first_row_of_the_stable_order():
+    """The twin of the tie case above, without its VI operator, on a 20-cell
+    grid: its rows follow the stable order of ||grad_v F(u, u)||^2 = ||T(u)||^2,
+    so it also picks the corner (0, 1) among the tied nodes of x = 0, and not
+    the first of them in index order."""
+    box = Box(np.zeros(2), np.ones(2))
+    f = make_vi_bifunction(lambda u: np.stack([2.0 - u[..., 1], np.zeros_like(u[..., 0])], axis=-1))
+    V = _lattice(box, 20)
+    m = _dense_max_min(f, V, 0.0)
+    assert np.array_equal(np.flatnonzero(m == m.max()), np.flatnonzero(V[:, 0] == 0.0))
+    res = grid_solve(UREProblem(_twin(f), box, k=1.0, r=np.inf), GridSpec(20))
+    assert res.inner_value == 0.0
+    np.testing.assert_array_equal(res.point, [0.0, 1.0])
+
+
+def test_generic_grid_abandons_beaten_rows():
+    """The twin of the shipped annulus_inertial config without its VI
+    operator, at resolution 40 (952 nodes), makes at most 50 F evaluations
+    per node, where a scan that abandons no row makes 952, and finds the
+    VI's node."""
+    p = build_problem(parse_config(str(CONFIG_DIR / "annulus_inertial.cfg")))
+    calls = [0]
+    twin = UREProblem(_twin(p.bifunction, calls), p.feasible_set, k=p.k, r=p.r)
+    res = grid_solve(twin, GridSpec(40))
+    assert res.n_feasible == 952
+    assert calls[0] <= 50 * res.n_feasible
+    np.testing.assert_array_equal(res.point, grid_solve(p, GridSpec(40)).point)
 
 
 def test_vi_grid_zero_operator_keeps_every_row():
