@@ -28,7 +28,7 @@ from .model import _PROBLEM_RULES, _SOLVER_RULES, _broken_rules
 from .oracle import _GRID_RULES
 
 SCHEMES = ("proximal", "inertial", "explicit", "descent")
-BIFUNCTION_KINDS = ("affine_vi", "zero")
+BIFUNCTION_KINDS = ("affine_vi",)
 
 # field annotation -> config value type, for the dataclasses whose fields are
 # config keys: the set classes (problem.set.*) and SolverConfig (solver.*)
@@ -105,7 +105,7 @@ class RunConfig:
     bifunction_kind: str
     set_kind: str
     set_params: tuple[tuple[str, object], ...]
-    matrix: tuple[tuple[float, ...], ...] | None = None
+    matrix: tuple[tuple[float, ...], ...]
     offset: tuple[float, ...] | None = None
     solver: SolverConfig = SolverConfig()
     oracle_enabled: bool = False
@@ -205,15 +205,7 @@ def _validate(pairs: dict[str, object], problems: list[str]) -> None:
         problems.extend(f"{key} {broken.pop(key)}" for key in keys if key in broken)
 
     problems.extend(f"missing required key {key}" for key in _REQUIRED if key not in pairs)
-    report("scheme", "problem.bifunction.kind")
-    bkind = pairs.get("problem.bifunction.kind")
-    if bkind == "affine_vi" and "problem.bifunction.matrix" not in pairs:
-        problems.append("affine_vi needs problem.bifunction.matrix")
-    if bkind == "zero":
-        for key in ("problem.bifunction.matrix", "problem.bifunction.offset"):
-            if key in pairs:
-                problems.append(f"bifunction kind zero does not take {key}")
-    report("problem.k", "problem.r", "problem.set.kind")
+    report("scheme", "problem.bifunction.kind", "problem.k", "problem.r", "problem.set.kind")
     skind = pairs.get("problem.set.kind")
     if skind in SET_KINDS:
         wanted = [f.name for f in fields(SET_KINDS[skind])]
@@ -256,7 +248,7 @@ def parse_config(path: str) -> RunConfig:
 
 def _pairs(rc: RunConfig) -> dict[str, object]:
     """rc as config key -> value, in emission order. A field left at None
-    (no bifunction matrix or offset) has no key."""
+    (no bifunction offset) has no key."""
     pairs: dict[str, object] = {}
     for name, (key, _) in _RUN_KEYS.items():
         value = getattr(rc, name)
@@ -279,12 +271,6 @@ def build_set(rc: RunConfig) -> ConstraintSet:
 
 def build_bifunction(rc: RunConfig) -> Bifunction:
     dim = len(rc.start)
-    if rc.bifunction_kind == "zero":
-
-        def T(u):
-            return np.zeros_like(np.asarray(u, dtype=float))
-
-        return make_vi_bifunction(T, JT=lambda u: np.zeros((dim, dim)))
     A = np.array(rc.matrix, dtype=float)
     if A.shape != (dim, dim):
         raise ValueError(

@@ -227,11 +227,17 @@ class ConstraintSet:
         return self._distance_batch(X) <= MEMBERSHIP_TOL * (1.0 + _row_norms(X))
 
     def sample(self, n: int, seed: int) -> Array:
-        """n points of the set from _draw, deterministic for a fixed seed."""
+        """n points of the set from _draw, deterministic for a fixed seed;
+        n and seed are checked before any draw, the seed on SolverConfig's
+        rules."""
         if not _is_integer(n):
             raise ValueError(f"n must be an integer; got {n!r}")
         if n <= 0:
             raise ValueError("n must be positive")
+        if not _is_integer(seed):
+            raise ValueError(f"seed must be an integer; got {seed!r}")
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative; got {seed!r}")
         return self._draw(n, np.random.default_rng(seed))
 
     def _draw(self, n: int, rng: np.random.Generator) -> Array:
@@ -289,11 +295,13 @@ class ConstraintSet:
         return NormalCheckReport(worst <= 1e-9, worst, V[i], n_samples, r)
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=2, typed=True)
 def _cached_sample(s: ConstraintSet, n: int, seed: int) -> Array:
     """s.sample(n, seed), drawn once and read-only. Sets hash by identity, so
     the repeated draws of one run share it; two entries keep a --verify run's
-    8-point and 10^4-point draws from evicting each other."""
+    8-point and 10^4-point draws from evicting each other. Entries are typed,
+    so a seed of True is not served the draw of seed 1 but reaches sample's
+    check."""
     X = s.sample(n, seed)
     X.setflags(write=False)
     return X

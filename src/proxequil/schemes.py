@@ -15,15 +15,16 @@ the implicit step computes the fixed point of
     w = P[z - (lam/(1+kappa)) grad_v F(w, w)],
 
 found by sweeps of that map with depth-1 Anderson mixing, and stopped when
-one sweep changes w by at most inner_tol. On a convex set the fixed point
-solves the strengthened auxiliary inequality
+one sweep changes w by at most inner_tol. The fixed point w = P(x), with
+x = z - (lam/(1+kappa)) grad_v F(w, w), solves the auxiliary inequality
 
-    lam F(w, v) + (1 + kappa) <w - z, v - w>  >=  0   for all v in the set.
+    lam F(w, v) + (1 + kappa) <w - z, v - w> + kappa ||v - w||^2  >=  0
 
-On a nonconvex prox-regular set x - P(x) is a proximal normal, not a
-normal, so the inequality holds only up to a term of order ||v - w||^2; the
-sampled audit verify_subproblem_inequality still checks the strengthened
-form (see item 6 of ROADMAP.md).
+for all v in the set. On a convex set it holds without the last term. On a
+nonconvex r-prox-regular set x - w is a proximal normal, not a normal, so
+<x - w, v - w> is bounded by ||x - w|| ||v - w||^2 / (2r), not by 0; the
+problem's own kappa ||v - w||^2 covers that while (1 + kappa) ||x - w|| <= k.
+The sampled audit verify_subproblem_inequality checks this inequality.
 
 The explicit scheme freezes the gradient at the current iterate instead,
 u_{n+1} = P[u_n - lam grad_v F(u_n, u_n)], and involves no kappa at all.
@@ -96,18 +97,21 @@ class SubproblemCheck:
 
 
 def verify_subproblem_inequality(problem: UREProblem, u_n, u_prev, w, cfg: SolverConfig) -> SubproblemCheck:
-    """Sampled audit of the strengthened auxiliary inequality at w, the step
-    from u_n with lam and gamma from cfg.
+    """Sampled audit of the auxiliary inequality at w, the step from u_n with
+    lam and gamma from cfg.
 
-    Checks lam F(w, v) + (1+kappa) <w - z, v - w> >= -1e-8 at the 10^4
-    feasible v of sample(10000, cfg.seed) in one Bifunction.eval_rows call;
-    the worst point is the first row of least value.
+    Checks lam F(w, v) + (1+kappa) <w - z, v - w> + kappa ||v - w||^2 >=
+    -1e-8 at the 10^4 feasible v of sample(10000, cfg.seed), with F in one
+    Bifunction.eval_rows call and no projection, so the audit does not
+    repeat the step it checks; the worst point is the first row of least
+    value.
     """
     _, z = _base_point(problem, u_n, u_prev, cfg)
     w = as_vector(w, problem.dim, "w")
     V = _cached_sample(problem.feasible_set, 10000, cfg.seed)
+    D = _by_rows(np.subtract, V, w)
     shift = (1.0 + problem.kappa) * (w - z)
-    vals = cfg.lam * problem.bifunction.eval_rows(w, V) + _by_rows(np.subtract, V, w) @ shift
+    vals = cfg.lam * problem.bifunction.eval_rows(w, V) + D @ shift + problem.kappa * _row_norms(D) ** 2
     i = int(np.argmin(vals))
     worst = float(-vals[i])
     return SubproblemCheck(worst <= 1e-8, worst, V[i], V.shape[0])

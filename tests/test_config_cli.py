@@ -126,13 +126,18 @@ def test_missing_set_parameter(tmp_path):
     assert "problem.set.radius" in str(err.value)
 
 
-def test_zero_bifunction_rejects_affine_keys(tmp_path):
+def test_zero_bifunction_kind_is_rejected(tmp_path):
+    # F = 0 is affine_vi with a zero matrix; there is no kind of its own
     zero = MINIMAL.replace("kind = affine_vi", "kind = zero")
     with pytest.raises(ValidationError) as err:
         parse_config(_write(tmp_path, zero))
+    assert err.value.problems == ["problem.bifunction.kind must be one of affine_vi; got 'zero'"]
+    bare = "".join(line for line in zero.splitlines(True) if not line.startswith("problem.bifunction.m"))
+    with pytest.raises(ValidationError) as err:
+        parse_config(_write(tmp_path, bare))
     assert err.value.problems == [
-        "bifunction kind zero does not take problem.bifunction.matrix",
-        "bifunction kind zero does not take problem.bifunction.offset",
+        "missing required key problem.bifunction.matrix",
+        "problem.bifunction.kind must be one of affine_vi; got 'zero'",
     ]
 
 
@@ -143,9 +148,9 @@ _SET_KINDS = "annulus, ball, box, box_minus_ball, halfspace, sphere, two_ball_un
 _CONFIG_ERRORS = [
     ("no-scheme", "scheme = proximal\n", "", ValidationError, "missing required key scheme"),
     ("bifunction-kind", "kind = affine_vi", "kind = cubic", ValidationError,
-     "problem.bifunction.kind must be one of affine_vi, zero; got 'cubic'"),
+     "problem.bifunction.kind must be one of affine_vi; got 'cubic'"),
     ("no-matrix", "problem.bifunction.matrix = 1.0, 0.0; 0.0, 1.0\n", "", ValidationError,
-     "affine_vi needs problem.bifunction.matrix"),
+     "missing required key problem.bifunction.matrix"),
     ("set-kind", "kind = ball", "kind = disk", ValidationError,
      f"problem.set.kind must be one of {_SET_KINDS}; got 'disk'"),
     ("negative-r", "problem.r = 1.0", "problem.r = -1", ValidationError, "problem.r must be positive; got -1.0"),
@@ -214,9 +219,10 @@ def test_every_set_kind_round_trips(tmp_path, s):
         k=1.0,
         r=1.0,
         start=tuple(s.project(np.zeros(s.dim)).tolist()),
-        bifunction_kind="zero",
+        bifunction_kind="affine_vi",
         set_kind=s.kind,
         set_params=tuple(sorted(plain.items())),
+        matrix=((0.0,) * s.dim,) * s.dim,
     )
     again = parse_config(_write(tmp_path, emit_config(rc)))
     assert again == rc
@@ -567,8 +573,6 @@ def test_each_rule_has_one_message_per_path(tmp_path, table, field, phrase):
         assert err.value.problems == [f"{key} {phrase}; got {bad!r}"]
 
 
-_ZERO_TAKES = "bifunction kind zero does not take problem.bifunction."
-
 # (id, shipped config, RunConfig change, message)
 _BUILD_ERRORS = [
     ("start-dimension", "ball_proximal", dict(start=(0.0, -1.0, 0.0)), "problem.start has dimension 3, the set expects 2"),
@@ -598,10 +602,10 @@ _BUILD_ERRORS = [
     ("oracle-tol-zero", "two_ball_trap", dict(oracle_tol=0.0), "oracle.tol must be positive; got 0.0"),
     ("oracle-tol-negative", "two_ball_trap", dict(oracle_tol=-1.0), "oracle.tol must be positive; got -1.0"),
     ("unknown-bifunction-kind", "ball_proximal", dict(bifunction_kind="cubic"),
-     "problem.bifunction.kind must be one of affine_vi, zero; got 'cubic'"),
-    ("affine-no-matrix", "ball_proximal", dict(matrix=None), "affine_vi needs problem.bifunction.matrix"),
-    ("zero-with-matrix", "ball_proximal", dict(bifunction_kind="zero", offset=None), _ZERO_TAKES + "matrix"),
-    ("zero-with-offset", "ball_proximal", dict(bifunction_kind="zero", matrix=None), _ZERO_TAKES + "offset"),
+     "problem.bifunction.kind must be one of affine_vi; got 'cubic'"),
+    ("affine-no-matrix", "ball_proximal", dict(matrix=None), "missing required key problem.bifunction.matrix"),
+    ("zero-kind", "ball_proximal", dict(bifunction_kind="zero", matrix=None, offset=None),
+     "missing required key problem.bifunction.matrix; problem.bifunction.kind must be one of affine_vi; got 'zero'"),
     ("infinite-k", "ball_proximal", dict(k=math.inf), "problem.k must be finite; got inf"),
 ]
 

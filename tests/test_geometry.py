@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -284,15 +285,27 @@ def test_sphere_draws_directly_through_the_one_sample():
 
 
 @pytest.mark.parametrize("s", shipped_sets(), ids=lambda s: s.kind)
-def test_sample_size_must_be_a_positive_integer(s):
-    """One size rule for every kind, checked before any draw."""
+def test_sample_size_must_be_a_positive_integer(s, monkeypatch):
+    """One size rule and one seed rule for every kind, the seed's with the
+    phrases of SolverConfig's, checked before any draw."""
+    assert s.sample(np.int64(3), np.int64(2)).shape == (3, s.dim)
+
+    def no_draw(*args):
+        raise AssertionError("drew before the check")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     for n in (math.nan, 2.5, True):
         with pytest.raises(ValueError, match=rf"^n must be an integer; got {n!r}$"):
             s.sample(n, 0)
     for n in (0, -1):
         with pytest.raises(ValueError, match="^n must be positive$"):
             s.sample(n, 0)
-    assert s.sample(np.int64(3), 0).shape == (3, s.dim)
+    for seed in (1.5, math.nan, True, None, "1"):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer; got {re.escape(repr(seed))}$"):
+            s.sample(3, seed)
+    for seed in (-1, np.int64(-2)):
+        with pytest.raises(ValueError, match=rf"^seed must be nonnegative; got {re.escape(repr(seed))}$"):
+            s.sample(3, seed)
 
 
 def _direct_kinds(d):

@@ -71,6 +71,13 @@ def test_eval_rows_calls_vi_operator_only_at_u():
     np.testing.assert_allclose(rows, _rows_reference(f, u, V), rtol=0, atol=1e-14)
 
 
+# the config's affine_vi, and F = 0 as a zero matrix with no offset
+_CONFIG_AFFINE = {
+    "affine_vi": dict(matrix=((1.0, 0.5), (-0.5, 2.0)), offset=(-2.0, 0.3)),
+    "zero": dict(matrix=((0.0, 0.0), (0.0, 0.0)), offset=None),
+}
+
+
 # U as one point and as one point per row of V
 @pytest.mark.parametrize(
     "kind, pairs",
@@ -79,8 +86,7 @@ def test_eval_rows_calls_vi_operator_only_at_u():
 )
 def test_eval_rows_matches_calls_for_config_kinds(kind, pairs):
     rc = parse_config(str(CONFIG_DIR / "ball_proximal.cfg"))
-    rc = replace(rc, bifunction_kind=kind, matrix=((1.0, 0.5), (-0.5, 2.0)), offset=(-2.0, 0.3))
-    f = config.build_bifunction(rc)
+    f = config.build_bifunction(replace(rc, **_CONFIG_AFFINE[kind]))
     U = Ball(np.zeros(2), 1.0).sample(200, seed=9) if pairs else np.array([0.1, -0.2])
     V = Ball(np.zeros(2), 1.0).sample(200, seed=8)
     rows = f.eval_rows(U, V)
@@ -88,6 +94,7 @@ def test_eval_rows_matches_calls_for_config_kinds(kind, pairs):
     np.testing.assert_allclose(rows, _rows_reference(f, U, V), rtol=0, atol=1e-14)
     if kind == "zero":
         assert not rows.any()
+        assert not np.signbit(f.vi_operator(U)).any()
 
 
 def test_eval_rows_loops_over_a_plain_bifunction():
@@ -116,8 +123,7 @@ def test_eval_rows_of_no_rows_is_empty():
 @pytest.mark.parametrize("kind", ["affine_vi", "zero"])
 def test_grad_v_rows_matches_calls_for_config_kinds(kind):
     rc = parse_config(str(CONFIG_DIR / "ball_proximal.cfg"))
-    rc = replace(rc, bifunction_kind=kind, matrix=((1.0, 0.5), (-0.5, 2.0)), offset=(-2.0, 0.3))
-    f = config.build_bifunction(rc)
+    f = config.build_bifunction(replace(rc, **_CONFIG_AFFINE[kind]))
     U = Ball(np.zeros(2), 1.0).sample(200, seed=8)
     V = Ball(np.zeros(2), 1.0).sample(200, seed=9)
     rows = f.grad_v_rows(U, V)

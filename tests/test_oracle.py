@@ -272,6 +272,27 @@ def test_generic_grid_ties_keep_the_first_row_of_the_stable_order():
     np.testing.assert_array_equal(res.point, [0.0, 1.0])
 
 
+def test_grid_ties_follow_the_stable_row_order():
+    """On the box [-1, 1]^2 with kappa = 0 and T(u) = (1 if u_y <= 0 else 0, 0),
+    every node with u_y > 0 has T = 0 and ties at m = 0. Only a stable sort
+    of ||T||^2 keeps those rows in index order, so the first of them,
+    (-1, 0.1), wins for the VI and for its twin without a VI operator; an
+    unstable sort may put another tied row first."""
+    box = Box(-np.ones(2), np.ones(2))
+    f = make_vi_bifunction(
+        lambda u: np.stack([np.where(u[..., 1] <= 0.0, 1.0, 0.0), np.zeros_like(u[..., 0])], axis=-1)
+    )
+    V = _lattice(box, 20)
+    m = _dense_max_min(f, V, 0.0)
+    assert m.max() == 0.0 and np.all(m[V[:, 1] > 0.0] == 0.0)
+    first = V[np.flatnonzero(V[:, 1] > 0.0)[0]]
+    np.testing.assert_allclose(first, [-1.0, 0.1], rtol=0, atol=1e-15)
+    for g in (f, _twin(f)):
+        res = grid_solve(UREProblem(g, box, k=1.0, r=np.inf), GridSpec(20))
+        assert res.inner_value == 0.0
+        np.testing.assert_array_equal(res.point, first)
+
+
 def test_generic_grid_abandons_beaten_rows():
     """The twin of the shipped annulus_inertial config without its VI
     operator, at resolution 40 (952 nodes), makes at most 50 F evaluations

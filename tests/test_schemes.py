@@ -25,6 +25,7 @@ from proxequil import (
     TwoBallUnion,
     UREProblem,
     ValidationError,
+    check_necessary_condition,
     default_step_size,
     descent_solve,
     explicit_solve,
@@ -45,6 +46,7 @@ from problems import (
     annulus_pull_outer,
     ball_pull,
     pull_bifunction,
+    two_ball_trap,
 )
 
 U0 = np.array([0.0, -1.0])
@@ -91,9 +93,10 @@ def test_subproblem_frozen_value():
 
 
 def _audit_steps():
-    """A proximal step on the ball, which the audit passes, and an inertial
-    step from the annulus's inner rim, which it fails at points across the
-    hole (the set is not convex)."""
+    """A proximal step on the ball and an inertial step from the annulus's
+    inner rim. The audit passes both; the annulus step needs the
+    kappa ||v - w||^2 term at points across the hole (the set is not
+    convex)."""
     ball = (ball_pull(), U0, U0, SolverConfig(lam=0.5, gamma=0.0))
     annulus = (annulus_pull_inner(), np.array([0.0, 1.0]), np.array([0.0, 1.2]), SolverConfig(lam=0.5, gamma=0.2))
     return [(step, solve_subproblem(*step)) for step in (ball, annulus)]
@@ -104,21 +107,65 @@ def test_verify_matches_scalar_loop(step):
     (p, u_n, u_prev, cfg), w = _audit_steps()[step]
     chk = verify_subproblem_inequality(p, u_n, u_prev, w, replace(cfg, seed=4))
     f, z = p.bifunction, u_n - (cfg.gamma / (1.0 + p.kappa)) * (u_n - u_prev)
+
+    def value(v):
+        return cfg.lam * f(w, v) + (1.0 + p.kappa) * float((w - z) @ (v - w)) + p.kappa * float((v - w) @ (v - w))
+
     worst, worst_v = -np.inf, w
     for v in p.feasible_set.sample(10000, 4):
-        val = cfg.lam * f(w, v) + (1.0 + p.kappa) * float((w - z) @ (v - w))
+        val = value(v)
         if -val > worst:
             worst, worst_v = -val, v
     assert chk.passed == (worst <= 1e-8)
     assert chk.worst_violation == pytest.approx(worst, rel=0, abs=1e-12)
     v = chk.worst_point
-    at_v = cfg.lam * f(w, v) + (1.0 + p.kappa) * float((w - z) @ (v - w))
+    at_v = value(v)
     assert -at_v == pytest.approx(worst, rel=0, abs=1e-12)
     if worst > 1e-12:
         # at rounding level the least value is a near-tie between the two
         # summation orders, so only a clear worst point is compared by bits
         np.testing.assert_array_equal(v, worst_v)
     assert chk.n_samples == 10000
+
+
+def _step_and_start_cases():
+    """(step, w) for the two audit steps and a proximal step of the two-ball
+    trap: each step's fixed point, then u_n itself, which is not the step."""
+    trap = (two_ball_trap(), np.array([2.5, 0.0]), np.array([2.5, 0.0]), SolverConfig(lam=0.5, gamma=0.0))
+    steps = [step for step, _ in _audit_steps()] + [trap]
+    return [(step, w) for step in steps for w in (solve_subproblem(*step), step[1])]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+def test_verify_fails_at_a_point_that_is_not_the_step(seed):
+    for (p, u_n, u_prev, cfg), w in _step_and_start_cases():
+        chk = verify_subproblem_inequality(p, u_n, u_prev, w, replace(cfg, seed=seed))
+        at_start = w is u_n
+        assert chk.passed is not at_start
+        assert (chk.worst_violation > 1e-3) is at_start
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7])
+def test_verify_sampled_minimum_is_never_below_the_exact_one(seed):
+    # For a VI with kappa > 0 the audited expression is <c, v - w> +
+    # kappa ||v - w||^2 with c = lam T(w) + (1 + kappa)(w - z), that is
+    # kappa (||v - y||^2 - ||y - w||^2) with y = w - c / (2 kappa); its
+    # minimum over the set takes one projection of y.
+    for (p, u_n, u_prev, cfg), w in _step_and_start_cases():
+        kappa = p.kappa
+        assert kappa > 0
+        _, z = _base_point(p, u_n, u_prev, cfg)
+        y = w - (cfg.lam * p.bifunction.vi_operator(w) + (1.0 + kappa) * (w - z)) / (2.0 * kappa)
+        near = p.feasible_set.project(y)
+        exact = kappa * (float((y - near) @ (y - near)) - float((y - w) @ (y - w)))
+        chk = verify_subproblem_inequality(p, u_n, u_prev, w, replace(cfg, seed=seed))
+        assert -chk.worst_violation >= exact - 1e-12
+        assert -chk.worst_violation - exact < 1e-2
+        # the step satisfies the inequality exactly; u_n does not
+        if w is u_n:
+            assert exact < -1e-3
+        else:
+            assert exact >= -1e-12
 
 
 def test_verify_makes_no_per_sample_calls(monkeypatch):
@@ -511,3 +558,29 @@ def test_point_outside_the_set_has_one_message(tmp_path, call, error, name):
     with pytest.raises(error) as err:
         call(ball_pull(), tmp_path)
     assert str(err.value) == f"{name} is not in the feasible set"
+
+
+def _generic_twin(p):
+    """p without its VI operator, so the residual samples its starts."""
+    return UREProblem(Bifunction(eval=p.bifunction.eval, grad_v=p.bifunction.grad_v), p.feasible_set, k=p.k, r=p.r)
+
+
+# the entry points that sample the set with a seed they are given
+_SEEDED_ENTRY_POINTS = {
+    "default_step_size": lambda p, seed: default_step_size(p, seed),
+    "check_necessary_condition": lambda p, seed: check_necessary_condition(p, 10, seed),
+    "proximal_normal_check":
+        lambda p, seed: p.feasible_set.proximal_normal_check(SOLUTION, np.array([1.0, 0.0]), seed=seed),
+    "problem_residual": lambda p, seed: problem_residual(_generic_twin(p), SOLUTION, seed=seed),
+}
+
+
+@pytest.mark.parametrize("call", _SEEDED_ENTRY_POINTS.values(), ids=_SEEDED_ENTRY_POINTS.keys())
+def test_bad_seed_has_the_solver_config_message(call):
+    # seed 1 first: the residual's cached draw of seed 1 must not serve True
+    p = ball_pull()
+    call(p, 1)
+    for seed, phrase in ((1.5, "must be an integer"), (True, "must be an integer"), (-1, "must be nonnegative")):
+        with pytest.raises(ValueError) as err:
+            call(p, seed)
+        assert str(err.value) == f"seed {phrase}; got {seed!r}"
