@@ -73,6 +73,13 @@ def _verify_steps(
     return all(c.passed for c in checks), max(c.worst_violation for c in checks)
 
 
+def _grid_audit(p: UREProblem, trace: Trace, rc: RunConfig) -> list:
+    """The oracle point, its distance from the final point, and for an implicit scheme the Fejer check."""
+    res = grid_solve(p, GridSpec(rc.oracle_resolution))
+    fejer = [fejer_check(trace, res.point, p.kappa).passed] if rc.scheme in ("proximal", "inertial") else []
+    return [[float(x) for x in res.point], _norm(trace.final_point - res.point), *fejer]
+
+
 def execute(
     rc: RunConfig,
     out_dir: str | None = None,
@@ -115,24 +122,22 @@ def execute(
                 summary[key] = None
 
         code = _STATUS_CODE[trace.status]
-        try:
-            if oracle or rc.oracle_enabled:
-                res = grid_solve(p, GridSpec(rc.oracle_resolution))
-                distance = _norm(final - res.point)
-                summary["oracle_point"] = [float(x) for x in res.point]
-                summary["oracle_distance"] = distance
-                if rc.scheme in ("proximal", "inertial"):
-                    summary["fejer_passed"] = fejer_check(trace, res.point, p.kappa).passed
-                if code == 0 and distance > rc.oracle_tol:
-                    code = 4
-            if verify and rc.scheme in ("proximal", "inertial"):
-                ok, worst = _verify_steps(p, cfg, rc, trace)
-                summary["subproblem_check_passed"] = ok
-                summary["subproblem_check_worst"] = worst
-        except ProxequilError as exc:
-            # The solve finished: keep its outputs and its own failure code.
-            print(f"proxequil: audit failed: {exc}", file=sys.stderr)
-            code = code or 1
+        implicit = rc.scheme in ("proximal", "inertial")
+        audits = []  # (summary fields, the call that fills them); each runs even when another fails
+        if oracle or rc.oracle_enabled:
+            audits.append((["oracle_point", "oracle_distance", "fejer_passed"][: 2 + implicit], lambda: _grid_audit(p, trace, rc)))
+        if verify and implicit:
+            audits.append((["subproblem_check_passed", "subproblem_check_worst"], lambda: _verify_steps(p, cfg, rc, trace)))
+        for keys, audit in audits:
+            try:
+                summary.update(zip(keys, audit()))
+            except ProxequilError as exc:
+                # The solve finished: keep its outputs and its own failure code.
+                print(f"proxequil: audit failed: {exc}", file=sys.stderr)
+                summary.update(dict.fromkeys(keys))
+                code = code or 1
+            if code == 0 and (summary.get("oracle_distance") or 0.0) > rc.oracle_tol:
+                code = 4
 
         base = Path(out_dir) if out_dir is not None else Path(".")
         _write_trace(base / rc.trace_path, trace)

@@ -16,6 +16,10 @@ F(u, v) = <T(u), v - u>, w is the nearest point P(u - T(u) / alpha):
 Fukushima's regularized gap, exact on nonconvex sets too. The descent method
 follows d = w - u with an exact line search on [0, 1], projecting every probe
 and iterate onto the set.
+
+The public functions check the point they are handed; the descent checks
+its start once, and its line search and probes run the unchecked
+``_line_search`` and ``_w_and_gap`` on points it projected itself.
 """
 
 from __future__ import annotations
@@ -128,8 +132,12 @@ def line_search(problem: UREProblem, u, d, cfg: SolverConfig) -> float:
     the exact endpoints 0 and 1. Every probe is projected onto the set
     before evaluation. d = 0 returns 0 by convention.
     """
-    u = as_vector(u, problem.dim, "u")
-    d = as_vector(d, problem.dim, "d")
+    return _line_search(problem, as_vector(u, problem.dim, "u"), as_vector(d, problem.dim, "d"), cfg)
+
+
+def _line_search(problem: UREProblem, u: Array, d: Array, cfg: SolverConfig) -> float:
+    """line_search of the vectors u and d, unchecked: each probe is one
+    ``ConstraintSet._project`` and one ``_w_and_gap``."""
     if _norm(d) == 0.0:
         return 0.0
     s = problem.feasible_set
@@ -137,7 +145,7 @@ def line_search(problem: UREProblem, u, d, cfg: SolverConfig) -> float:
 
     def phi(t: float) -> float:
         if t not in cache:
-            cache[t] = gap_value(problem, s.project(u + t * d), cfg)
+            cache[t] = _w_and_gap(problem, s._project(u + t * d), cfg)[1]
         return cache[t]
 
     ts = [i / 16.0 for i in range(17)]
@@ -188,8 +196,8 @@ def descent_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
         return res, extras, res < cfg.outer_tol
 
     def advance(n: int, u: Array, u_prev: Array) -> Array:
-        t = line_search(problem, u, d, cfg)
+        t = _line_search(problem, u, d, cfg)
         extras["t"] = t
-        return s.project(u + t * d)
+        return s._project(u + t * d)
 
     return _iterate(cfg, u0, measure, advance)

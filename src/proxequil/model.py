@@ -232,6 +232,7 @@ def _best_response(
     Programming 53, 1992). Otherwise projected gradient descent runs from u
     itself and 8 starts sampled with seed (drawn once per set and seed),
     keeping the best converged result; starting at u keeps m <= F(u, u) = 0.
+    u is not checked here: the public callers check it once.
     """
     f = problem.bifunction
     s = problem.feasible_set
@@ -240,7 +241,7 @@ def _best_response(
         return f(u, v) + c * float((v - u) @ (v - u))
 
     if f.vi_operator is not None and c > 0:
-        w = s.project(u - np.asarray(f.vi_operator(u), dtype=float) / (2.0 * c))
+        w = s._project(u - np.asarray(f.vi_operator(u), dtype=float) / (2.0 * c))
         return w, value(w)
 
     def grad(v: Array) -> Array:

@@ -28,6 +28,12 @@ The sampled audit verify_subproblem_inequality checks this inequality.
 
 The explicit scheme freezes the gradient at the current iterate instead,
 u_{n+1} = P[u_n - lam grad_v F(u_n, u_n)], and involves no kappa at all.
+
+Inputs are checked once, at the public functions: the *_solve entry points
+check the start, solve_subproblem and verify_subproblem_inequality check
+u_n and u_prev. The loops then run on points they formed themselves, through
+the unchecked ``_solve_subproblem`` and ``ConstraintSet._project``, which
+keeps a projection's finiteness check and one shape comparison.
 """
 
 from __future__ import annotations
@@ -42,14 +48,19 @@ from .geometry import Array, _by_rows, _cached_sample, _norm, _row_norms, as_vec
 from .model import SolverConfig, Status, Trace, TraceRecord, UREProblem
 
 
+def _extrapolate(problem: UREProblem, u_n: Array, u_prev: Array, gamma: float) -> Array:
+    """The implicit step's base point z = u_n - (gamma/(1+kappa)) (u_n - u_prev)."""
+    return u_n - (gamma / (1.0 + problem.kappa)) * (u_n - u_prev)
+
+
 def _base_point(problem: UREProblem, u_n, u_prev, cfg: SolverConfig) -> tuple[Array, Array]:
-    """u_n, checked, and the implicit step's base point
-    z = u_n - (gamma/(1+kappa)) (u_n - u_prev), with gamma from cfg."""
+    """u_n, checked, and the implicit step's base point z, with gamma from
+    cfg; u_prev is checked too, and cfg.lam must be set."""
     if cfg.lam is None:
         raise ValueError("the implicit step needs a step size: cfg.lam is None")
     s = problem.feasible_set
     u_n, u_prev = s.member(u_n, "u_n"), s.member(u_prev, "u_prev")
-    return u_n, u_n - (cfg.gamma / (1.0 + problem.kappa)) * (u_n - u_prev)
+    return u_n, _extrapolate(problem, u_n, u_prev, cfg.gamma)
 
 
 def solve_subproblem(problem: UREProblem, u_n, u_prev, cfg: SolverConfig) -> Array:
@@ -63,10 +74,17 @@ def solve_subproblem(problem: UREProblem, u_n, u_prev, cfg: SolverConfig) -> Arr
     Ni, SIAM J. Numer. Anal. 49, 2011); otherwise it is g. The mixed point
     may lie outside the set, and grad_v is evaluated there. Raises
     SubproblemFailed when cfg.max_inner sweeps do not stop.
+
+    u_n and u_prev are checked here; the implicit schemes, whose iterates
+    are projections, call the unchecked ``_solve_subproblem``.
     """
-    w, z = _base_point(problem, u_n, u_prev, cfg)
+    return _solve_subproblem(problem, *_base_point(problem, u_n, u_prev, cfg), cfg)
+
+
+def _solve_subproblem(problem: UREProblem, w: Array, z: Array, cfg: SolverConfig) -> Array:
+    """solve_subproblem from w = u_n with base point z, unchecked."""
     f = problem.bifunction
-    project = problem.feasible_set.project
+    project = problem.feasible_set._project
     scale = cfg.lam / (1.0 + problem.kappa)
     g_prev = r_prev = None
     r_prev_norm = 0.0  # no history: no change is below 0
@@ -135,7 +153,7 @@ def default_step_size(problem: UREProblem, seed: int = 0) -> float:
 
 def _explicit_step(problem: UREProblem, u: Array, lam: float) -> Array:
     """The explicit step P[u - lam grad_v F(u, u)] from u."""
-    return problem.feasible_set.project(u - lam * problem.bifunction.grad_v(u, u))
+    return problem.feasible_set._project(u - lam * problem.bifunction.grad_v(u, u))
 
 
 def _resolve_lam(problem: UREProblem, cfg: SolverConfig) -> float:
@@ -186,7 +204,7 @@ def inertial_proximal_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace
     cfg = replace(cfg, lam=_resolve_lam(problem, cfg))
 
     def advance(n: int, u_n: Array, u_prev: Array) -> Array:
-        return solve_subproblem(problem, u_n, u_prev, cfg)
+        return _solve_subproblem(problem, u_n, _extrapolate(problem, u_n, u_prev, cfg.gamma), cfg)
 
     return _iterate(cfg, u0, _residual_measure(problem, cfg.lam), advance)
 

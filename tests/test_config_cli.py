@@ -407,14 +407,22 @@ problem.set.center = 0.0, 0.0, 0.0, 0.0
 problem.set.radius = 1.0
 solver.lambda = 0.5
 """
-    out = tmp_path / "out"
-    code = main(["run", _write(tmp_path, ball4), "--oracle", "--out", str(out)])
-    assert code == 1
-    assert "proxequil: audit failed:" in capsys.readouterr().err
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["status"] == "converged"
-    np.testing.assert_allclose(summary["final_point"], [1.0, 0.0, 0.0, 0.0], atol=1e-6)
-    assert (out / "trace.csv").exists()
+    # The failed oracle writes its fields as null, and --verify, which needs
+    # no grid, still runs.
+    oracle_fields = dict.fromkeys(["oracle_point", "oracle_distance", "fejer_passed"])
+    for flags in (["--oracle"], ["--oracle", "--verify"]):
+        out = tmp_path / "-".join(flags)
+        code = main(["run", _write(tmp_path, ball4), *flags, "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "proxequil: audit failed: grid oracle handles dimension <= 3, got 4\n"
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "converged"
+        np.testing.assert_allclose(summary["final_point"], [1.0, 0.0, 0.0, 0.0], atol=1e-6)
+        assert {key: summary[key] for key in oracle_fields} == oracle_fields
+        if "--verify" in flags:
+            assert summary["subproblem_check_passed"] is True
+        assert (out / "trace.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -659,19 +667,24 @@ def test_python_run_config_gets_the_file_message(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
-# Per shipped config: the calls to ConstraintSet.project, and to the solver
-# functions the benchmark tracer wraps, during execute(..., verify=True).
+# Per shipped config: the projections (ConstraintSet._nearest calls of the
+# set's kind) of execute(..., verify=True), and the calls to the solver
+# functions the benchmark tracer wraps and to the unchecked entries the loops
+# call in their place.
 _TRACED_CALLS = {
     # 157 inner sweeps over the 37 implicit steps, 38 residual measures, the
     # final residual and the final gap
-    "ball_proximal": (197, dict(solve_subproblem=37, verify_subproblem_inequality=37, line_search=0, gap_value=1)),
+    "ball_proximal": (197, dict(_solve_subproblem=37, verify_subproblem_inequality=37, _line_search=0, gap_value=1)),
     # 1,227 inner sweeps over 287 steps, 288 measures and the two merits
-    "annulus_inertial": (1517, dict(solve_subproblem=287, verify_subproblem_inequality=287, line_search=0, gap_value=1)),
+    "annulus_inertial": (1517, dict(_solve_subproblem=287, verify_subproblem_inequality=287, _line_search=0, gap_value=1)),
     # 53 explicit steps, each measured once (52 iterations), the final
     # residual and the final gap
-    "annulus_explicit": (55, dict(solve_subproblem=0, verify_subproblem_inequality=0, line_search=0, gap_value=1)),
-    # 52 line-search probes and the final gap
-    "ball_descent": (109, dict(solve_subproblem=0, verify_subproblem_inequality=0, line_search=1, gap_value=53)),
+    "annulus_explicit": (55, dict(_solve_subproblem=0, verify_subproblem_inequality=0, _line_search=0, gap_value=1)),
+    # 52 line-search probes of two projections each (the probe and its best
+    # response), 2 measures, the accepted point and the two merits
+    "ball_descent": (109, dict(_solve_subproblem=0, verify_subproblem_inequality=0, _line_search=1, gap_value=1)),
+    # 9 inner sweeps over 4 steps, 5 measures and the two merits
+    "two_ball_trap": (16, dict(_solve_subproblem=4, verify_subproblem_inequality=4, _line_search=0, gap_value=1)),
 }
 
 
@@ -680,23 +693,40 @@ _TRACED_CALLS = {
     [pytest.param(name, calls, traced, id=f"{name}-{calls}") for name, (calls, traced) in _TRACED_CALLS.items()],
 )
 def test_shipped_runs_project_through_the_public_method(tmp_path, monkeypatch, name, calls, traced):
-    """Every projection of a run goes through the public ConstraintSet.project,
-    and every implicit step, step audit, line search and gap value through
-    its module global, which the benchmark wraps to count projections, inner
-    sweeps, subproblems, audited steps, line searches and probes."""
-    project = ConstraintSet.project
-    seen = []
-    monkeypatch.setattr(ConstraintSet, "project", lambda s, x: seen.append(x) or project(s, x))
-    counts = dict.fromkeys(traced, 0)
+    """Every projection of a run is one _nearest call of its set's kind, made
+    through the unchecked ConstraintSet._project, and every implicit step and
+    line search goes through the unchecked _solve_subproblem and _line_search
+    module globals: a benchmark that counts projections, inner sweeps,
+    subproblems and probes wraps those. The public project, solve_subproblem
+    and line_search are not called. Whatever the iteration count, a run
+    parsed and executed without --verify calls ConstraintSet.member 5 times:
+    on the start in parse_config's and execute's build_problem and in the
+    solver, and on the final point for the residual and the gap. --verify
+    adds the 2 checks of each audited step."""
+    nearest = []
+    for kind in config.SET_KINDS.values():
+        orig = kind.__dict__["_nearest"]
+        monkeypatch.setattr(kind, "_nearest", lambda s, x, orig=orig: nearest.append(x) or orig(s, x))
+    public = dict(project=0, solve_subproblem=0, line_search=0)
+    counts = dict.fromkeys([*traced, *public, "_project", "member"], 0)
+
+    def counted(fn, orig):
+        return lambda *a: counts.__setitem__(fn, counts[fn] + 1) or orig(*a)
+
     for module in (schemes, gap, cli):
-        for fn in traced:
+        for fn in [*traced, *public]:
             if hasattr(module, fn):
-                orig = getattr(module, fn)
-                monkeypatch.setattr(module, fn, lambda *a, fn=fn, orig=orig: counts.__setitem__(fn, counts[fn] + 1) or orig(*a))
-    rc = parse_config(str(CONFIG_DIR / f"{name}.cfg"))
-    assert execute(rc, out_dir=str(tmp_path / "out"), verify=True) == 0
-    assert len(seen) == calls
-    assert counts == traced
+                monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
+    for fn in ("project", "_project", "member"):
+        monkeypatch.setattr(ConstraintSet, fn, counted(fn, getattr(ConstraintSet, fn)))
+    path = str(CONFIG_DIR / f"{name}.cfg")
+    assert execute(parse_config(path), out_dir=str(tmp_path / "plain")) == 0
+    assert (len(nearest), counts["_project"], counts["member"]) == (calls, calls, 5)
+    nearest.clear()
+    counts.update(dict.fromkeys(counts, 0))
+    assert execute(parse_config(path), out_dir=str(tmp_path / "verified"), verify=True) == 0
+    assert len(nearest) == calls
+    assert counts == {**traced, **public, "_project": calls, "member": 5 + 2 * traced["verify_subproblem_inequality"]}
 
 
 def test_verify_resolves_auto_lambda_once(tmp_path, monkeypatch):
