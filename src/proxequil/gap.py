@@ -137,7 +137,7 @@ def line_search(problem: UREProblem, u, d, cfg: SolverConfig) -> float:
 
 def _line_search(problem: UREProblem, u: Array, d: Array, cfg: SolverConfig) -> float:
     """line_search of the vectors u and d, unchecked: each probe is one
-    ``ConstraintSet._project`` and one ``_w_and_gap``."""
+    ``ConstraintSet.project`` and one ``_w_and_gap``."""
     if _norm(d) == 0.0:
         return 0.0
     s = problem.feasible_set
@@ -145,7 +145,7 @@ def _line_search(problem: UREProblem, u: Array, d: Array, cfg: SolverConfig) -> 
 
     def phi(t: float) -> float:
         if t not in cache:
-            cache[t] = _w_and_gap(problem, s._project(u + t * d), cfg)[1]
+            cache[t] = _w_and_gap(problem, s.project(u + t * d), cfg)[1]
         return cache[t]
 
     ts = [i / 16.0 for i in range(17)]
@@ -198,6 +198,6 @@ def descent_solve(problem: UREProblem, cfg: SolverConfig, u0) -> Trace:
     def advance(n: int, u: Array, u_prev: Array) -> Array:
         t = _line_search(problem, u, d, cfg)
         extras["t"] = t
-        return s._project(u + t * d)
+        return s.project(u + t * d)
 
     return _iterate(cfg, u0, measure, advance)

@@ -52,32 +52,22 @@ MEMBERSHIP_TOL = 1e-9
 
 
 def as_vector(x, dim: int | None = None, name: str = "x") -> Array:
-    """Validate and convert to a finite 1-d float64 array: the shape checks,
-    then ``_finite``. The public functions run it, directly or through
-    ``ConstraintSet.member``, on the points they are handed; the solver
-    loops, which form their points themselves, project through
-    ``ConstraintSet._project``, which runs ``_finite`` and compares the
-    shape.
+    """Validate and convert to a finite 1-d float64 array.
+
+    Every ``project`` runs it, the solver loops' included, so each check is
+    the cheapest numpy call that makes it. The sum of squares
+    ``np.vdot(v, v)`` is finite when every entry is, and one BLAS dot costs
+    less than ``np.isfinite(v).all()`` at any length; only when that sum is
+    not finite, which large finite entries can also cause by overflow, does
+    the entrywise test decide.
+    ``np.vdot`` overflows silently, where ``v @ v`` and ``v.dot(v)`` emit a
+    RuntimeWarning.
     """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise DimensionMismatch(f"{name} must be a 1-d vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise DimensionMismatch(f"{name} has dimension {v.shape[0]}, expected {dim}")
-    return _finite(v, name)
-
-
-def _finite(v: Array, name: str = "x") -> Array:
-    """v, a float64 vector; NonFiniteValue when an entry is NaN or infinite.
-
-    Every projection runs it, so it is the cheapest numpy call that makes
-    the check. The sum of squares ``np.vdot(v, v)`` is finite when every
-    entry is, and one BLAS dot costs less than ``np.isfinite(v).all()`` at
-    any length; only when that sum is not finite, which large finite
-    entries can also cause by overflow, does the entrywise test decide.
-    ``np.vdot`` overflows silently, where ``v @ v`` and ``v.dot(v)`` emit a
-    RuntimeWarning.
-    """
     if not math.isfinite(np.vdot(v, v)) and not np.isfinite(v).all():
         raise NonFiniteValue(f"{name} contains NaN or infinity")
     return v
@@ -162,11 +152,8 @@ class ConstraintSet:
     finiteness check. A kind provides ``bounding_box``, ``_distance_batch``,
     ``_nearest`` and ``_check`` (its own invariants), and a nonconvex kind its
     ``prox_constant``; everything else, ``dim`` included, is derived.
-    ``member`` is the one check that a point lies in the set. Every
-    projection goes through ``_nearest``: the public ``project`` validates
-    its input with ``as_vector``, and the solver loops, which form their
-    points themselves, call ``_project``, which keeps the finiteness check
-    and one shape comparison.
+    ``member`` is the one check that a point lies in the set; the solver
+    loops make none on the points they project themselves.
     """
 
     kind: ClassVar[str] = "abstract"
@@ -210,16 +197,6 @@ class ConstraintSet:
     def project(self, x) -> Array:
         """Nearest point of the set to x (a deterministic one on a tie)."""
         return self._nearest(as_vector(x, self.dim))
-
-    def _project(self, x: Array) -> Array:
-        """``project`` of an array formed by the solver loops, which project
-        through it: ``_nearest`` after the finiteness check, without
-        ``as_vector``'s conversion. One shape comparison stands in for its
-        shape checks, and only a wrong shape, which a user's ``grad_v`` or
-        VI operator can give, goes to ``as_vector`` for its message."""
-        if x.shape != (self.dim,):
-            as_vector(x, self.dim)
-        return self._nearest(_finite(x))
 
     def distance(self, x) -> float:
         x = as_vector(x, self.dim)

@@ -241,7 +241,7 @@ def _best_response(
         return f(u, v) + c * float((v - u) @ (v - u))
 
     if f.vi_operator is not None and c > 0:
-        w = s._project(u - np.asarray(f.vi_operator(u), dtype=float) / (2.0 * c))
+        w = s.project(u - np.asarray(f.vi_operator(u), dtype=float) / (2.0 * c))
         return w, value(w)
 
     def grad(v: Array) -> Array:

@@ -120,12 +120,10 @@ def _inner_lipschitz(p: UREProblem) -> float:
     return 2.0 * float(_row_norms(grads).max())
 
 
-def _grid_argmax(V: Array, G: Array, scorer) -> tuple[int, float]:
+def _grid_argmax(V: Array, G: Array, score) -> tuple[int, float]:
     """Argmax over rows u of V of m(u) = min over rows v of V of F(u, v) +
-    kappa||v-u||^2, given G(u) = grad_v F(u, u) at each row and scorer(W),
-    which takes the rows W of V in a seeded shuffle and gives score(rows,
-    start, stop), that minimum over the points v of W[start:stop] for each
-    u = V[rows].
+    kappa||v-u||^2, given G(u) = grad_v F(u, u) at each row and score(rows,
+    B), that minimum over the points v of B for each u = V[rows].
 
     Rows are taken in the stable order of ||G||^2 (||T||^2 for a VI), the 8
     smallest first and then 2048 at a time, against shuffled v-blocks of 8,
@@ -138,7 +136,7 @@ def _grid_argmax(V: Array, G: Array, scorer) -> tuple[int, float]:
     """
     n = V.shape[0]
     order = np.argsort(np.einsum("ij,ij->i", G, G), kind="stable")
-    score = scorer(np.take(V, np.random.default_rng(0).permutation(n), axis=0))
+    shuffled = np.take(V, np.random.default_rng(0).permutation(n), axis=0)
 
     best_m = -np.inf
     best_row = -1
@@ -149,8 +147,8 @@ def _grid_argmax(V: Array, G: Array, scorer) -> tuple[int, float]:
         mins = np.full(rows.shape[0], np.inf)
         start, width = 0, 8
         while start < n and rows.size:
-            stop = min(start + min(width, MAX_BLOCK // rows.size), n)
-            mins = np.minimum(mins, score(rows, start, stop))
+            stop = start + min(width, MAX_BLOCK // rows.size)
+            mins = np.minimum(mins, score(rows, shuffled[start:stop]))
             keep = mins >= best_m
             rows, mins = rows[keep], mins[keep]
             start, width = stop, min(4 * width, 4096)
@@ -167,43 +165,32 @@ def _vi_scorer(T: Array, V: Array, kappa: float):
         (T(u) - 2 kappa u) . v + kappa ||v||^2 + (kappa ||u||^2 - T(u) . u),
     so a block is one product of shape (block, rows), reduced with
     min(axis=0) in a vectorised pass over the rows; the last term, added to
-    the minima, rounds as it would on every entry. kappa ||v||^2 is taken
-    once over the shuffled rows W, and a block adds its slice, which has the
-    bits of the slice's own einsum. BLAS may round a product differently in
-    its last bit with the number of rows still active, so near-ties can
-    break on that."""
+    the minima, rounds as it would on every entry. BLAS may round a product
+    differently in its last bit with the number of rows still active, so
+    near-ties can break on that."""
     lin = T - 2.0 * kappa * V
     const = kappa * np.einsum("ij,ij->i", V, V) - np.einsum("ij,ij->i", T, V)
 
-    def on(W):
-        sq = kappa * np.einsum("ij,ij->i", W, W)
+    def score(rows, B):
+        block = B @ np.take(lin, rows, axis=0).T
+        block += kappa * np.einsum("ij,ij->i", B, B)[:, None]
+        return block.min(axis=0) + const[rows]
 
-        def score(rows, start, stop):
-            block = W[start:stop] @ np.take(lin, rows, axis=0).T
-            block += sq[start:stop, None]
-            return block.min(axis=0) + const[rows]
-
-        return score
-
-    return on
+    return score
 
 
 def _eval_scorer(f: Bifunction, V: Array, kappa: float):
     """Block minima of any bifunction: one eval_rows call on the pairs of
-    the active rows of V and the block of the shuffled rows W, plus
-    kappa ||v - u||^2."""
+    the active rows of V and the block, plus kappa ||v - u||^2."""
 
-    def on(W):
-        def score(rows, start, stop):
-            U = np.repeat(np.take(V, rows, axis=0), stop - start, axis=0)
-            B = np.tile(W[start:stop], (rows.size, 1))
-            D = B - U
-            vals = f.eval_rows(U, B) + kappa * np.einsum("ij,ij->i", D, D)
-            return vals.reshape(rows.size, stop - start).min(axis=1)
+    def score(rows, B):
+        U = np.repeat(np.take(V, rows, axis=0), B.shape[0], axis=0)
+        W = np.tile(B, (rows.size, 1))
+        D = W - U
+        vals = f.eval_rows(U, W) + kappa * np.einsum("ij,ij->i", D, D)
+        return vals.reshape(rows.size, B.shape[0]).min(axis=1)
 
-        return score
-
-    return on
+    return score
 
 
 def grid_solve(p: UREProblem, gs: GridSpec) -> OracleResult:
@@ -228,8 +215,8 @@ def grid_solve(p: UREProblem, gs: GridSpec) -> OracleResult:
         )
     tol = _inner_lipschitz(p) * h
     G = f.grad_v_rows(V, V)
-    scorer = _vi_scorer(G, V, p.kappa) if f.vi_operator is not None else _eval_scorer(f, V, p.kappa)
-    row, m_best = _grid_argmax(V, G, scorer)
+    score = _vi_scorer(G, V, p.kappa) if f.vi_operator is not None else _eval_scorer(f, V, p.kappa)
+    row, m_best = _grid_argmax(V, G, score)
     return OracleResult(V[row], float(m_best), bool(m_best >= -tol), float(tol), h, n)
 
 

@@ -31,9 +31,10 @@ u_{n+1} = P[u_n - lam grad_v F(u_n, u_n)], and involves no kappa at all.
 
 Inputs are checked once, at the public functions: the *_solve entry points
 check the start, solve_subproblem and verify_subproblem_inequality check
-u_n and u_prev. The loops then run on points they formed themselves, through
-the unchecked ``_solve_subproblem`` and ``ConstraintSet._project``, which
-keeps a projection's finiteness check and one shape comparison.
+u_n and u_prev. The loops then run on points they formed themselves: the
+implicit steps call the unchecked ``_solve_subproblem``, and every
+projection is ``ConstraintSet.project``, whose own check of its input is
+the one the loops keep.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ def solve_subproblem(problem: UREProblem, u_n, u_prev, cfg: SolverConfig) -> Arr
 def _solve_subproblem(problem: UREProblem, w: Array, z: Array, cfg: SolverConfig) -> Array:
     """solve_subproblem from w = u_n with base point z, unchecked."""
     f = problem.bifunction
-    project = problem.feasible_set._project
+    project = problem.feasible_set.project
     scale = cfg.lam / (1.0 + problem.kappa)
     g_prev = r_prev = None
     r_prev_norm = 0.0  # no history: no change is below 0
@@ -153,7 +154,7 @@ def default_step_size(problem: UREProblem, seed: int = 0) -> float:
 
 def _explicit_step(problem: UREProblem, u: Array, lam: float) -> Array:
     """The explicit step P[u - lam grad_v F(u, u)] from u."""
-    return problem.feasible_set._project(u - lam * problem.bifunction.grad_v(u, u))
+    return problem.feasible_set.project(u - lam * problem.bifunction.grad_v(u, u))
 
 
 def _resolve_lam(problem: UREProblem, cfg: SolverConfig) -> float:

@@ -314,6 +314,34 @@ def test_cli_solve_input_error_exits_1(tmp_path, capsys):
     assert not (out / "summary.json").exists()
 
 
+_OVERFLOWING_BOX = """\
+problem.k = 1.0
+problem.r = inf
+problem.start = 1.0, 1.0
+problem.bifunction.kind = affine_vi
+problem.bifunction.matrix = 1e308, 0.0; 0.0, 1e308
+problem.bifunction.offset = 1e308, 1e308
+problem.set.kind = box
+problem.set.lower = -1.0, -1.0
+problem.set.upper = 1.0, 1.0
+solver.lambda = 0.5
+"""
+
+
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+@pytest.mark.parametrize("scheme", ["proximal", "inertial", "explicit", "descent"])
+def test_cli_overflowing_step_exits_1(tmp_path, capsys, scheme):
+    # T overflows at every point of the box, so the first point a scheme
+    # projects is infinite. numpy warns, as it does outside the tests (where
+    # the warning precedes the message on stderr), and the projection's check
+    # makes the point an input error that writes no outputs.
+    out = tmp_path / "out"
+    code = main(["run", _write(tmp_path, f"scheme = {scheme}\n" + _OVERFLOWING_BOX), "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err == "proxequil: x contains NaN or infinity\n"
+    assert not out.exists()
+
+
 def test_cli_reports_uncomputed_merits(tmp_path, capsys):
     # A fixed lambda solves without sampling. With r = 1 both merits are
     # closed-form nearest points, exact at the solution (-0.9998, 0); with
@@ -667,10 +695,10 @@ def test_python_run_config_gets_the_file_message(tmp_path, capsys, case):
     assert not (tmp_path / "out").exists()
 
 
-# Per shipped config: the projections (ConstraintSet._nearest calls of the
-# set's kind) of execute(..., verify=True), and the calls to the solver
-# functions the benchmark tracer wraps and to the unchecked entries the loops
-# call in their place.
+# Per shipped config: the projections (ConstraintSet.project calls, each one
+# _nearest call of the set's kind) of execute(..., verify=True), and the calls
+# to the solver functions the benchmark tracer wraps and to the unchecked
+# entries the loops call in their place.
 _TRACED_CALLS = {
     # 157 inner sweeps over the 37 implicit steps, 38 residual measures, the
     # final residual and the final gap
@@ -693,22 +721,22 @@ _TRACED_CALLS = {
     [pytest.param(name, calls, traced, id=f"{name}-{calls}") for name, (calls, traced) in _TRACED_CALLS.items()],
 )
 def test_shipped_runs_project_through_the_public_method(tmp_path, monkeypatch, name, calls, traced):
-    """Every projection of a run is one _nearest call of its set's kind, made
-    through the unchecked ConstraintSet._project, and every implicit step and
-    line search goes through the unchecked _solve_subproblem and _line_search
-    module globals: a benchmark that counts projections, inner sweeps,
-    subproblems and probes wraps those. The public project, solve_subproblem
-    and line_search are not called. Whatever the iteration count, a run
-    parsed and executed without --verify calls ConstraintSet.member 5 times:
-    on the start in parse_config's and execute's build_problem and in the
-    solver, and on the final point for the residual and the gap. --verify
-    adds the 2 checks of each audited step."""
+    """Every projection of a run goes through the public ConstraintSet.project
+    and is one _nearest call of its set's kind. Every implicit step and line
+    search goes through the unchecked _solve_subproblem and _line_search
+    module globals, not the public solve_subproblem and line_search: a
+    benchmark that counts inner sweeps, subproblems and probes wraps those.
+    Whatever the iteration count, a run parsed and executed without --verify
+    calls ConstraintSet.member 5 times: on the start in parse_config's and
+    execute's build_problem and in the solver, and on the final point for
+    the residual and the gap. --verify adds the 2 checks of each audited
+    step."""
     nearest = []
     for kind in config.SET_KINDS.values():
         orig = kind.__dict__["_nearest"]
         monkeypatch.setattr(kind, "_nearest", lambda s, x, orig=orig: nearest.append(x) or orig(s, x))
-    public = dict(project=0, solve_subproblem=0, line_search=0)
-    counts = dict.fromkeys([*traced, *public, "_project", "member"], 0)
+    public = dict(solve_subproblem=0, line_search=0)
+    counts = dict.fromkeys([*traced, *public, "project", "member"], 0)
 
     def counted(fn, orig):
         return lambda *a: counts.__setitem__(fn, counts[fn] + 1) or orig(*a)
@@ -717,16 +745,16 @@ def test_shipped_runs_project_through_the_public_method(tmp_path, monkeypatch, n
         for fn in [*traced, *public]:
             if hasattr(module, fn):
                 monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
-    for fn in ("project", "_project", "member"):
+    for fn in ("project", "member"):
         monkeypatch.setattr(ConstraintSet, fn, counted(fn, getattr(ConstraintSet, fn)))
     path = str(CONFIG_DIR / f"{name}.cfg")
     assert execute(parse_config(path), out_dir=str(tmp_path / "plain")) == 0
-    assert (len(nearest), counts["_project"], counts["member"]) == (calls, calls, 5)
+    assert (len(nearest), counts["project"], counts["member"]) == (calls, calls, 5)
     nearest.clear()
     counts.update(dict.fromkeys(counts, 0))
     assert execute(parse_config(path), out_dir=str(tmp_path / "verified"), verify=True) == 0
     assert len(nearest) == calls
-    assert counts == {**traced, **public, "_project": calls, "member": 5 + 2 * traced["verify_subproblem_inequality"]}
+    assert counts == {**traced, **public, "project": calls, "member": 5 + 2 * traced["verify_subproblem_inequality"]}
 
 
 def test_verify_resolves_auto_lambda_once(tmp_path, monkeypatch):

@@ -269,9 +269,9 @@ def test_mixed_step_matches_the_plain_loop(monkeypatch, kind, d):
         except SubproblemFailed:
             continue
         compared += 1
-        project, sweeps = ConstraintSet._project, []
+        project, sweeps = ConstraintSet.project, []
         with monkeypatch.context() as m:
-            m.setattr(ConstraintSet, "_project", lambda s, x: sweeps.append(project(s, x)) or sweeps[-1])
+            m.setattr(ConstraintSet, "project", lambda s, x: sweeps.append(project(s, x)) or sweeps[-1])
             w = solve_subproblem(p, u_n, u_prev, cfg)
         np.testing.assert_allclose(w, expected, rtol=0, atol=1e-9)
         assert len(sweeps) <= plain_sweeps
@@ -286,8 +286,8 @@ def test_step_that_flips_between_the_balls_fails(monkeypatch):
     (-3, 0), (3, 0), ... until the budget is spent."""
     s = TwoBallUnion(np.array([-2.0, 0.0]), 1.0, np.array([2.0, 0.0]), 1.0)
     p = UREProblem(make_vi_bifunction(lambda u: 3.0 * u), s, k=1.0, r=1.0)
-    project, seen = ConstraintSet._project, []
-    monkeypatch.setattr(ConstraintSet, "_project", lambda s, x: seen.append(project(s, x)) or seen[-1])
+    project, seen = ConstraintSet.project, []
+    monkeypatch.setattr(ConstraintSet, "project", lambda s, x: seen.append(project(s, x)) or seen[-1])
     u_n = np.array([1.0, 0.0])
     with pytest.raises(SubproblemFailed, match="no fixed point to 1e-12 within 6 sweeps"):
         solve_subproblem(p, u_n, u_n, SolverConfig(lam=1.5, gamma=0.0, max_inner=6))
@@ -303,8 +303,8 @@ def _overflowing(u):
 @pytest.mark.parametrize("s", [Box(-np.ones(2), np.ones(2)), Ball(np.zeros(2), 1.0)], ids=["box", "ball"])
 def test_overflowing_step_fails_loudly(s, solve):
     """T(u) = 1e308 (u + 2) overflows at every point of the set, so the
-    first point a scheme projects is infinite. The loops project without
-    the public checks, yet the projection still refuses it."""
+    first point a scheme projects is infinite. The loops skip the public
+    checks of the points they form, but not the projection's own."""
     p = UREProblem(make_vi_bifunction(_overflowing), s, k=1.0, r=math.inf)
     with pytest.raises(NonFiniteValue, match="^x contains NaN or infinity$"):
         solve(p, SolverConfig(lam=0.5), np.zeros(2))
@@ -312,8 +312,9 @@ def test_overflowing_step_fails_loudly(s, solve):
 
 @pytest.mark.parametrize("solve", [proximal_solve, inertial_proximal_solve, explicit_solve, descent_solve])
 def test_operator_of_the_wrong_shape_is_a_dimension_mismatch(solve):
-    """T(u) of shape (1, 2) at a point u of the plane: the loops' projection
-    skips the public checks, yet still names the shape as they do."""
+    """T(u) of shape (1, 2) at a point u of the plane: the loops skip the
+    public checks of the points they form, yet the projection still names
+    the shape."""
     p = UREProblem(make_vi_bifunction(lambda u: np.atleast_2d(u - 2.0)), Ball(np.zeros(2), 1.0), k=1.0, r=1.0)
     with pytest.raises(DimensionMismatch, match=r"^x must be a 1-d vector, got shape \(1, 2\)$"):
         solve(p, SolverConfig(lam=0.5), np.zeros(2))
