@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, build_problem, parse_config
-from .errors import InnerSolveFailed, ProxequilError, SubproblemFailed
+from .errors import EmptyTrace, InnerSolveFailed, ProxequilError, SubproblemFailed
 from .gap import descent_solve, gap_value
 from .geometry import _norm
 from .model import SolverConfig, Status, Trace, UREProblem, problem_residual
@@ -55,46 +55,48 @@ def _write_trace(path: Path, trace: Trace) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _verify_steps(
-    p: UREProblem, cfg: SolverConfig, rc: RunConfig, trace: Trace
-) -> tuple[bool | None, float | None]:
-    """(all passed, worst violation) over the accepted steps, with the
-    resolved step cfg.lam; (None, None) when the trace has no accepted step."""
-    if rc.scheme == "proximal":
-        cfg = replace(cfg, gamma=0.0)
+def _verify_steps(p: UREProblem, cfg: SolverConfig, trace: Trace) -> tuple[bool, float]:
+    """(all passed, worst violation) over the accepted steps, with the run's
+    resolved cfg; EmptyTrace when the trace has no accepted step."""
     pts = [r.point for r in trace.records]
     checks = [
         verify_subproblem_inequality(p, pts[n], pts[n - 1] if n else pts[0], pts[n + 1], cfg)
         for n in range(len(pts) - 1)
     ]
     if not checks:
-        print("proxequil: subproblem check not computed: no accepted step", file=sys.stderr)
-        return None, None
+        raise EmptyTrace("no accepted step")
     return all(c.passed for c in checks), max(c.worst_violation for c in checks)
 
 
-def _grid_audit(p: UREProblem, trace: Trace, rc: RunConfig) -> list:
-    """The oracle point, its distance from the final point, and for an implicit scheme the Fejer check."""
-    res = grid_solve(p, GridSpec(rc.oracle_resolution))
-    fejer = [fejer_check(trace, res.point, p.kappa).passed] if rc.scheme in ("proximal", "inertial") else []
-    return [[float(x) for x in res.point], _norm(trace.final_point - res.point), *fejer]
+def _grid_audit(p: UREProblem, trace: Trace, resolution: int, fejer: bool) -> list:
+    """The oracle point, its distance from the final point, and with fejer the Fejer check."""
+    res = grid_solve(p, GridSpec(resolution))
+    passed = [fejer_check(trace, res.point, p.kappa).passed] if fejer else []
+    return [[float(x) for x in res.point], _norm(trace.final_point - res.point), *passed]
 
 
+# a non-finite step is reported by the package's own finiteness check, not by numpy
+@np.errstate(over="ignore", invalid="ignore")
 def execute(
-    rc: RunConfig,
-    out_dir: str | None = None,
-    oracle: bool = False,
-    seed: int | None = None,
-    verify: bool = False,
+    rc: RunConfig, out_dir: str | None = None, oracle: bool = False, seed: int | None = None, verify: bool = False
 ) -> int:
-    """Run one config and write its outputs; returns the process exit code."""
+    """Run one config and write its outputs; returns the process exit code.
+
+    Past the status, iterations and final point, each summary field comes
+    from one of the report's rows: final_residual, final_gap, oracle (when
+    oracle is set) and verify (when verify is set, implicit schemes only). A
+    row that raises writes its fields as null and prints
+    `proxequil: <row> not computed: <error>`; a failed oracle or verify row
+    makes a converged run exit 1.
+    """
     try:
         p = build_problem(rc)
-        cfg = rc.solver
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if rc.scheme != "descent":  # one resolved lambda for the solve and --verify
-            cfg = replace(cfg, lam=_resolve_lam(p, cfg))
+        implicit = rc.scheme in ("proximal", "inertial")
+        # the run's one SolverConfig, for the solve and the report: the seed,
+        # the resolved lambda, and gamma = 0 for proximal
+        cfg = rc.solver if seed is None else replace(rc.solver, seed=seed)
+        if rc.scheme != "descent":
+            cfg = replace(cfg, lam=_resolve_lam(p, cfg), gamma=0.0 if rc.scheme == "proximal" else cfg.gamma)
         # one solver per name in config.SCHEMES, which build_problem enforces;
         # looked up per call, so a solver rebound on this module is the one run
         solvers = {
@@ -111,31 +113,26 @@ def execute(
             "iterations": trace.iterations,
             "final_point": [float(x) for x in final],
         }
-        for key, merit in (
-            ("final_residual", lambda: problem_residual(p, final, seed=cfg.seed)),
-            ("final_gap", lambda: gap_value(p, final, cfg)),
-        ):
-            try:
-                summary[key] = merit()
-            except ProxequilError as exc:
-                print(f"proxequil: {key} not computed: {exc}", file=sys.stderr)
-                summary[key] = None
-
         code = _STATUS_CODE[trace.status]
-        implicit = rc.scheme in ("proximal", "inertial")
-        audits = []  # (summary fields, the call that fills them); each runs even when another fails
-        if oracle or rc.oracle_enabled:
-            audits.append((["oracle_point", "oracle_distance", "fejer_passed"][: 2 + implicit], lambda: _grid_audit(p, trace, rc)))
-        if verify and implicit:
-            audits.append((["subproblem_check_passed", "subproblem_check_worst"], lambda: _verify_steps(p, cfg, rc, trace)))
-        for keys, audit in audits:
+        # (row, whether it runs, its summary fields, the call that fills them, the exit
+        # code its failure gives a converged run); each runs even when another fails
+        rows = (
+            ("final_residual", True, ["final_residual"], lambda: [problem_residual(p, final, seed=cfg.seed)], 0),
+            ("final_gap", True, ["final_gap"], lambda: [gap_value(p, final, cfg)], 0),
+            ("oracle", oracle, ["oracle_point", "oracle_distance", "fejer_passed"][: 2 + implicit],
+             lambda: _grid_audit(p, trace, rc.oracle_resolution, implicit), 1),
+            ("verify", verify and implicit, ["subproblem_check_passed", "subproblem_check_worst"],
+             lambda: _verify_steps(p, cfg, trace), 1),
+        )
+        for name, runs, keys, call, fail_code in rows:
+            if not runs:
+                continue
             try:
-                summary.update(zip(keys, audit()))
+                summary.update(zip(keys, call()))
             except ProxequilError as exc:
-                # The solve finished: keep its outputs and its own failure code.
-                print(f"proxequil: audit failed: {exc}", file=sys.stderr)
+                print(f"proxequil: {name} not computed: {exc}", file=sys.stderr)
                 summary.update(dict.fromkeys(keys))
-                code = code or 1
+                code = code or fail_code
             if code == 0 and (summary.get("oracle_distance") or 0.0) > rc.oracle_tol:
                 code = 4
 

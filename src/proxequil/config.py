@@ -70,7 +70,6 @@ _RUN_KEYS = {
     "matrix": ("problem.bifunction.matrix", "matrix"),
     "offset": ("problem.bifunction.offset", "vector"),
     "set_kind": ("problem.set.kind", "string"),
-    "oracle_enabled": ("oracle.enabled", "bool"),
     "oracle_resolution": ("oracle.resolution", "int"),
     "oracle_tol": ("oracle.tol", "scalar"),
     "trace_path": ("output.trace", "string"),
@@ -108,7 +107,6 @@ class RunConfig:
     matrix: tuple[tuple[float, ...], ...]
     offset: tuple[float, ...] | None = None
     solver: SolverConfig = SolverConfig()
-    oracle_enabled: bool = False
     oracle_resolution: int = 400
     oracle_tol: float = 2e-2
     trace_path: str = "trace.csv"
@@ -135,12 +133,6 @@ def _parse_vector(text: str) -> tuple[float, ...]:
     return tuple(_parse_scalar(p) for p in parts)
 
 
-def _parse_bool(text: str) -> bool:
-    if text not in ("true", "false"):
-        raise ValueError("expected true or false")
-    return text == "true"
-
-
 def _fmt_scalar(x) -> str:
     return repr(float(x))
 
@@ -152,7 +144,6 @@ def _fmt_vector(v) -> str:
 # value type -> (parse, format); parse raises ValueError on bad text
 _CODECS = {
     "string": (str, str),
-    "bool": (_parse_bool, lambda b: "true" if b else "false"),
     "int": (int, lambda n: repr(int(n))),
     "scalar": (_parse_scalar, _fmt_scalar),
     "scalar_or_inf": (

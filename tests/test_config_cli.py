@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxequil import Ball, ConstraintSet, GridSpec, ParseError, RunConfig, SolverConfig, UREProblem, ValidationError, cli, config, emit_config, gap, gap_value, make_vi_bifunction, parse_config, schemes
+from proxequil import Ball, ConstraintSet, GridSpec, ParseError, RunConfig, SamplingExhausted, SolverConfig, UREProblem, ValidationError, cli, config, emit_config, gap, gap_value, make_vi_bifunction, parse_config, schemes
 from proxequil.cli import execute, main
 from proxequil.model import _PROBLEM_RULES, _SOLVER_RULES
 from proxequil.oracle import _GRID_RULES
@@ -47,18 +47,18 @@ def test_minimal_config_fills_defaults(tmp_path):
     assert rc.solver.outer_tol == 1e-8
     assert rc.solver.max_outer == 500
     assert rc.solver.seed == 0
-    assert rc.oracle_enabled is False
     assert rc.oracle_resolution == 400
     assert rc.trace_path == "trace.csv"
     assert rc.summary_path == "summary.json"
 
 
 def test_unknown_key_reports_line(tmp_path):
-    path = _write(tmp_path, MINIMAL + "problem.wobble = 3\n")
-    with pytest.raises(ParseError) as err:
-        parse_config(path)
-    assert "problem.wobble" in str(err.value)
-    assert ":11" in str(err.value)
+    # --oracle is the one oracle switch; oracle.enabled is not a key
+    for key in ("problem.wobble", "oracle.enabled"):
+        path = _write(tmp_path, MINIMAL + f"{key} = true\n")
+        with pytest.raises(ParseError) as err:
+            parse_config(path)
+        assert str(err.value) == f"{path}:11: unknown key {key!r}"
 
 
 def test_duplicate_key_rejected(tmp_path):
@@ -173,8 +173,6 @@ _CONFIG_ERRORS = [
      "problem.start is not in the feasible set"),
     ("empty-component", "start = 0.0, -1.0", "start = 0.0,", ParseError,
      "{path}:5: bad value for problem.start: empty vector component"),
-    ("bool", "", "oracle.enabled = yes\n", ParseError,
-     "{path}:13: bad value for oracle.enabled: expected true or false"),
     ("no-equals", "", "solver seed 3\n", ParseError, "{path}:13: expected 'key = value', got 'solver seed 3'"),
 ]
 
@@ -200,7 +198,7 @@ def test_shipped_configs_round_trip(tmp_path):
 
 def test_round_trip_inf_and_auto(tmp_path):
     rc = parse_config(_write(tmp_path, MINIMAL))
-    rc = replace(rc, r=math.inf, solver=replace(rc.solver, lam=None, alpha=2.0), oracle_enabled=True)
+    rc = replace(rc, r=math.inf, solver=replace(rc.solver, lam=None, alpha=2.0), oracle_tol=0.5)
     again = parse_config(_write(tmp_path, emit_config(rc), name="echo.cfg"))
     assert again == rc
 
@@ -328,13 +326,13 @@ solver.lambda = 0.5
 """
 
 
-@pytest.mark.filterwarnings("default::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scheme", ["proximal", "inertial", "explicit", "descent"])
 def test_cli_overflowing_step_exits_1(tmp_path, capsys, scheme):
     # T overflows at every point of the box, so the first point a scheme
-    # projects is infinite. numpy warns, as it does outside the tests (where
-    # the warning precedes the message on stderr), and the projection's check
-    # makes the point an input error that writes no outputs.
+    # projects is infinite. execute keeps numpy from warning, and the
+    # projection's check makes the point an input error that writes no
+    # outputs; its message is all of stderr.
     out = tmp_path / "out"
     code = main(["run", _write(tmp_path, f"scheme = {scheme}\n" + _OVERFLOWING_BOX), "--out", str(out)])
     assert code == 1
@@ -410,8 +408,7 @@ problem.set.center = {_vec(c)}
 
 
 def test_cli_exit_oracle_disagreement(tmp_path):
-    trap = (CONFIG_DIR / "two_ball_trap.cfg").read_text() + "oracle.enabled = true\n"
-    code = main(["run", _write(tmp_path, trap), "--out", str(tmp_path / "out")])
+    code = main(["run", str(CONFIG_DIR / "two_ball_trap.cfg"), "--oracle", "--out", str(tmp_path / "out")])
     assert code == 4
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["status"] == "converged"
@@ -443,7 +440,7 @@ solver.lambda = 0.5
         code = main(["run", _write(tmp_path, ball4), *flags, "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
-        assert err == "proxequil: audit failed: grid oracle handles dimension <= 3, got 4\n"
+        assert err == "proxequil: oracle not computed: grid oracle handles dimension <= 3, got 4\n"
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"] == "converged"
         np.testing.assert_allclose(summary["final_point"], [1.0, 0.0, 0.0, 0.0], atol=1e-6)
@@ -506,7 +503,37 @@ def test_cli_verify_without_accepted_step_writes_null(tmp_path, capsys):
     assert summary["status"] == "subproblem_failed"
     assert summary["subproblem_check_passed"] is None
     assert summary["subproblem_check_worst"] is None
-    assert "proxequil: subproblem check not computed: no accepted step" in capsys.readouterr().err
+    assert capsys.readouterr().err == "proxequil: verify not computed: no accepted step\n"
+
+
+def test_cli_failed_verify_keeps_the_oracle_row(tmp_path, capsys, monkeypatch):
+    # A failed verify row writes only its own fields as null: the trap keeps
+    # its oracle fields, and their disagreement keeps exit 4.
+    trap = str(CONFIG_DIR / "two_ball_trap.cfg")
+    assert main(["run", trap, "--oracle", "--out", str(tmp_path / "oracle")]) == 4
+    oracle_only = json.loads((tmp_path / "oracle" / "summary.json").read_text())
+
+    def exhausted(*args):
+        raise SamplingExhausted("ball: 3 of 8 points after 18000 draws")
+
+    monkeypatch.setattr(cli, "verify_subproblem_inequality", exhausted)
+    out = tmp_path / "out"
+    assert main(["run", trap, "--oracle", "--verify", "--out", str(out)]) == 4
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary == {**oracle_only, "subproblem_check_passed": None, "subproblem_check_worst": None}
+    assert summary["oracle_distance"] > 2.0
+    assert capsys.readouterr().err == "proxequil: verify not computed: ball: 3 of 8 points after 18000 draws\n"
+
+
+@pytest.mark.parametrize("name", ["annulus_explicit", "ball_descent"])
+def test_cli_verify_has_no_row_without_implicit_steps(tmp_path, name):
+    # explicit and descent take no implicit step, so --verify adds no field
+    path = str(CONFIG_DIR / f"{name}.cfg")
+    assert main(["run", path, "--out", str(tmp_path / "plain")]) == 0
+    assert main(["run", path, "--verify", "--out", str(tmp_path / "verify")]) == 0
+    summary = json.loads((tmp_path / "verify" / "summary.json").read_text())
+    assert not [key for key in summary if key.startswith("subproblem_check")]
+    assert summary == json.loads((tmp_path / "plain" / "summary.json").read_text())
 
 
 def test_cli_seed_override(tmp_path):
