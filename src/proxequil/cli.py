@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -182,6 +181,10 @@ def _run_suite(
         (str(c), str(base / c.stem), oracle, seed, verify)
         for c in configs
     ]
+    # Imported here: with multiprocessing and logging it is about 17 ms of
+    # importing proxequil.cli, and only --suite needs it.
+    from concurrent.futures import ProcessPoolExecutor
+
     workers = min(len(tasks), os.cpu_count() or 1)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_suite_worker, tasks))

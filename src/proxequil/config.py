@@ -274,7 +274,9 @@ def build_bifunction(rc: RunConfig) -> Bifunction:
     At = A.T
 
     def T(u):
-        return np.asarray(u, dtype=float) @ At + b
+        out = np.asarray(u, dtype=float) @ At
+        out += b
+        return out
 
     return make_vi_bifunction(T, JT=lambda u: A)
 

@@ -49,6 +49,7 @@ from .errors import DimensionMismatch, NonFiniteValue, PointNotInSet, SamplingEx
 Array = np.ndarray
 
 MEMBERSHIP_TOL = 1e-9
+MEMBERSHIP_SLAB = 2**14  # rows per contains_batch pass: 128 KiB per temporary column
 
 
 def as_vector(x, dim: int | None = None, name: str = "x") -> Array:
@@ -93,23 +94,31 @@ def _is_integer(v) -> bool:  # a bool is an Integral, but not a count
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _row_norms(X: Array) -> Array:
-    """The Euclidean norm of each row of a 2-d float64 array, with the bits of
-    ``np.linalg.norm(X, axis=1)``: for such input that computes
-    ``sqrt(add.reduce(X * X, axis=1))``, and this skips its dispatch.
+def _row_norms(X: Array, center: Array | None = None) -> Array:
+    """The Euclidean norm of each row of a 2-d float64 array X, or of
+    X - center for a row center, with the bits of
+    ``np.linalg.norm(X - center, axis=1)``: for such input that computes
+    ``sqrt(add.reduce(D * D, axis=1))`` with D = X - center, and this skips
+    its dispatch.
 
     Below 8 terms ``add.reduce`` sums a row left to right, so for 2 <= d < 8
     adding the squared columns one after another gives the same bits, and on
     a grid of 10^5 rows it is 3 to 6 times faster than reducing each short
-    row. Each column is squared on its own and the root is taken in place,
-    so that sum makes no (n, d) temporary. Under 128 rows the one reduce
-    call costs less.
+    row. Each column is shifted and squared into one scratch column and the
+    root is taken in place, so the sum makes no (n, d) temporary, D
+    included. Under 128 rows the one reduce call costs less.
     """
     if X.shape[0] < 128 or not 2 <= X.shape[1] < 8:
-        return np.sqrt(np.add.reduce(X * X, axis=1))
-    total = X[:, 0] * X[:, 0]
-    for j in range(1, X.shape[1]):
-        total += X[:, j] * X[:, j]
+        D = X if center is None else X - center
+        return np.sqrt(np.add.reduce(D * D, axis=1))
+    total = np.empty(X.shape[0])
+    term = np.empty(X.shape[0])
+    for j in range(X.shape[1]):
+        col = X[:, j] if center is None else np.subtract(X[:, j], center[j], out=term)
+        if j == 0:
+            np.multiply(col, col, out=total)
+        else:
+            total += np.multiply(col, col, out=term)
     return np.sqrt(total, out=total)
 
 
@@ -223,10 +232,27 @@ class ConstraintSet:
         return x
 
     def contains_batch(self, X: Array) -> Array:
+        """Whether each row of X lies in the set, on ``contains``'s rule.
+
+        The rows are tested MEMBERSHIP_SLAB at a time, so that the kind's
+        temporaries stay in cache and none is as long as X: on the grid
+        oracle's 160,801-node lattices a ball takes 1.2 against 3.0 ms, an
+        annulus 1.2 against 1.9 and a two-ball union 1.8 against 2.7, with
+        whole-array temporaries and row broadcasts (numpy 2.4, one core). A
+        row's distance and norm do not depend on the rows around it, so the
+        answer does not either.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise DimensionMismatch(f"expected (n, {self.dim}) array, got {X.shape}")
-        return self._distance_batch(X) <= MEMBERSHIP_TOL * (1.0 + _row_norms(X))
+        inside = np.empty(X.shape[0], dtype=bool)
+        for start in range(0, X.shape[0], MEMBERSHIP_SLAB):
+            slab = X[start : start + MEMBERSHIP_SLAB]
+            tol = _row_norms(slab)
+            tol += 1.0
+            tol *= MEMBERSHIP_TOL
+            np.less_equal(self._distance_batch(slab), tol, out=inside[start : start + MEMBERSHIP_SLAB])
+        return inside
 
     def sample(self, n: int, seed: int) -> Array:
         """n points of the set from _draw, deterministic for a fixed seed;
@@ -368,8 +394,7 @@ class Ball(ConstraintSet):
         return self.center - self.radius, self.center + self.radius
 
     def _distance_batch(self, X: Array) -> Array:
-        d = _row_norms(_by_rows(np.subtract, X, self.center)) - self.radius
-        return np.maximum(d, 0.0)
+        return np.maximum(_row_norms(X, self.center) - self.radius, 0.0)
 
     def _nearest(self, x: Array) -> Array:
         offset = x - self.center
@@ -451,7 +476,7 @@ class Sphere(ConstraintSet):
         return self.center - self.radius, self.center + self.radius
 
     def _distance_batch(self, X: Array) -> Array:
-        return np.abs(_row_norms(_by_rows(np.subtract, X, self.center)) - self.radius)
+        return np.abs(_row_norms(X, self.center) - self.radius)
 
     def _nearest(self, x: Array) -> Array:
         offset = x - self.center
@@ -484,7 +509,7 @@ class Annulus(ConstraintSet):
         return self.center - self.outer_radius, self.center + self.outer_radius
 
     def _distance_batch(self, X: Array) -> Array:
-        d = _row_norms(_by_rows(np.subtract, X, self.center))
+        d = _row_norms(X, self.center)
         return np.maximum(0.0, np.maximum(self.inner_radius - d, d - self.outer_radius))
 
     def _nearest(self, x: Array) -> Array:
@@ -535,7 +560,7 @@ class BoxMinusBall(ConstraintSet):
 
     def _distance_batch(self, X: Array) -> Array:
         to_box = _row_norms(X - _by_rows(np.minimum, _by_rows(np.maximum, X, self.lower), self.upper))
-        radial = _row_norms(_by_rows(np.subtract, X, self.center))
+        radial = _row_norms(X, self.center)
         in_box = to_box == 0.0
         return np.where(in_box, np.maximum(self.radius - radial, 0.0), to_box)
 
@@ -580,8 +605,8 @@ class TwoBallUnion(ConstraintSet):
         return lo, hi
 
     def _distance_batch(self, X: Array) -> Array:
-        da = np.maximum(_row_norms(_by_rows(np.subtract, X, self.center_a)) - self.radius_a, 0.0)
-        db = np.maximum(_row_norms(_by_rows(np.subtract, X, self.center_b)) - self.radius_b, 0.0)
+        da = np.maximum(_row_norms(X, self.center_a) - self.radius_a, 0.0)
+        db = np.maximum(_row_norms(X, self.center_b) - self.radius_b, 0.0)
         return np.minimum(da, db)
 
     def _nearest(self, x: Array) -> Array:

@@ -22,11 +22,25 @@ Bifunction.eval_rows call (_eval_scorer), about 24 evaluations per node on
 the 952-node grid of the shipped annulus_inertial config at resolution 40.
 
 The grid's arrays are (n, 2) or (n, 3), a shape on which numpy's fancy
-indexing and its broadcasts of one row are several times slower than need
-be. So rows are gathered with np.take and np.compress (0.6 against 5.1 ms
-for the shuffle of a 125,629-node grid, numpy 2.4, one core), and the
-set's membership test subtracts its centre one column at a time
-(geometry._by_rows).
+indexing, its broadcasts of one row, its row sums and its reductions along
+the long axis of a few columns are several times slower than need be. So
+rows are gathered with np.take and np.compress (0.6 against 5.1 ms for the
+shuffle of a 125,629-node grid, numpy 2.4, one core), row dots are summed
+one column at a time (_row_dots), the set's membership test works on
+columns too (geometry._row_norms), and a block with few active rows takes
+its minimum by halving it in place (_vi_scorer).
+
+A grid_solve call also makes as few full-grid arrays as it can, because
+glibc returns a freed heap to the system and the next call faults it in
+again, at about 2 us a page: an (n, 2) array of that grid is 490 pages.
+The lattice is filled in place and tested MEMBERSHIP_SLAB rows at a time,
+so the membership test makes no full-length temporary; the VI scorer keeps
+one per-row term and forms T(u) - 2 kappa u for the active rows only. A
+seed-1 audit pass of perfbench then makes 3,000 to 10,700 minor faults,
+against 13,700 with a meshgrid lattice and full-length temporaries; where
+in that range depends on which small objects the process left at the top
+of its heap. Every array lives in one call: nothing is kept between calls
+or in module state.
 """
 
 from __future__ import annotations
@@ -91,19 +105,26 @@ def finite_diff_gradient(fn, u) -> Array:
 
 
 def _grid_points(s: ConstraintSet, gs: GridSpec) -> tuple[Array, float]:
+    """The feasible nodes of gs's lattice, in the order of meshgrid's "ij"
+    ravel, and its spacing. The lattice is filled one axis at a time into a
+    single array, which goes once contains_batch has tested it."""
     if s.dim > 3:
         raise GridTooLarge(f"grid oracle handles dimension <= 3, got {s.dim}")
     lo, hi = gs.box if gs.box is not None else s.bounding_box
     lo = as_vector(lo, s.dim, "box lower")
     hi = as_vector(hi, s.dim, "box upper")
-    total = (gs.resolution + 1) ** s.dim
+    if np.any(lo > hi):
+        raise ValueError("box needs lower <= upper componentwise")
+    m = gs.resolution + 1
+    total = m**s.dim
     if total > MAX_GRID_POINTS:
         raise GridTooLarge(f"{total} grid points exceeds the {MAX_GRID_POINTS} guard")
-    axes = [np.linspace(lo[i], hi[i], gs.resolution + 1) for i in range(s.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
+    lattice = np.empty((m,) * s.dim + (s.dim,))
+    for i in range(s.dim):
+        lattice[..., i] = np.linspace(lo[i], hi[i], m).reshape((m,) + (1,) * (s.dim - 1 - i))
+    points = lattice.reshape(-1, s.dim)
     h = float(np.max((hi - lo) / gs.resolution))
-    return points, h
+    return np.compress(s.contains_batch(points), points, axis=0), h
 
 
 def _inner_lipschitz(p: UREProblem) -> float:
@@ -120,23 +141,64 @@ def _inner_lipschitz(p: UREProblem) -> float:
     return 2.0 * float(_row_norms(grads).max())
 
 
+def _row_dots(A: Array, B: Array) -> Array:
+    """A[i] . B[i] for each row, with the bits of np.einsum("ij,ij->i", A, B).
+
+    einsum adds the products to zeroed accumulators, which for two columns
+    gives p0 + p1 with a -0.0 sum turned into +0.0; here each column is
+    multiplied on its own and the sum plus 0.0 makes the same turn. On
+    rows of 2 einsum runs numpy's short-row path, 3 to 4 times slower than
+    the columns at 10^5 rows (numpy 2.4). It sums three columns as
+    (p0 + p2) + p1 when they are contiguous, so other widths call it.
+    """
+    if A.shape[1] != 2:
+        return np.einsum("ij,ij->i", A, B)
+    out = np.multiply(A[:, 0], B[:, 0])
+    out += np.multiply(A[:, 1], B[:, 1])
+    out += 0.0
+    return out
+
+
+def _shuffled(V: Array) -> Array:
+    """The rows of V in the order of default_rng(0).permutation, from which
+    the max-min takes its v-blocks."""
+    return np.take(V, np.random.default_rng(0).permutation(V.shape[0]), axis=0)
+
+
+def _stable_order(key: Array) -> Array:
+    """np.argsort(key, kind="stable") for keys made by _row_dots(G, G),
+    which are +0.0 or more: their 64-bit patterns order them as their
+    values do, and numpy sorts those about 15 % faster (2.6 against 2.9 ms
+    on a 125,629-node audit grid). A NaN key would sort apart, first or last
+    by its sign, so when the ends hold one the floats are sorted instead."""
+    order = np.argsort(key.view(np.int64), kind="stable")
+    if np.isnan(key[order[0]]) or np.isnan(key[order[-1]]):
+        return np.argsort(key, kind="stable")
+    return order
+
+
 def _grid_argmax(V: Array, G: Array, score) -> tuple[int, float]:
     """Argmax over rows u of V of m(u) = min over rows v of V of F(u, v) +
-    kappa||v-u||^2, given G(u) = grad_v F(u, u) at each row and score(rows,
-    B), that minimum over the points v of B for each u = V[rows].
+    kappa||v-u||^2, given G(u) = grad_v F(u, u) at each row and a scorer
+    built on V (_vi_scorer, _eval_scorer): score(rows, block), that minimum
+    over the slice block of the scorer's shuffled rows (_shuffled) for each
+    u = V[rows].
 
     Rows are taken in the stable order of ||G||^2 (||T||^2 for a VI), the 8
-    smallest first and then 2048 at a time, against shuffled v-blocks of 8,
-    32, 128, 512, 2048 and then 4096 points, each of at most MAX_BLOCK pairs.
-    After each block a row whose running minimum falls below the best
-    completed row is abandoned, so every row of the first chunk completes;
-    the 8-point first block drops most rows after 8 values. A dropped row's
-    true m is already below a completed one, so the argmax is that of the
-    dense max-min, and among equal m the first row of the stable order wins.
+    smallest first and then 2048 at a time, against v-blocks of 8, 32, 128,
+    512, 2048 and then 4096 points, each of at most MAX_BLOCK pairs. A row's
+    chunk sets the shape of the BLAS products it is scored in, and so the
+    last bit of its m (see _vi_scorer); so the order is that of
+    np.argsort(kind="stable") element for element (_stable_order), and
+    the shuffle is default_rng(0).permutation's. After each block a row
+    whose running minimum falls below the best completed row is abandoned,
+    so every row of the first chunk completes; the 8-point first block
+    drops most rows after 8 values. A dropped row's true m is already below
+    a completed one, so the argmax is that of the dense max-min, and among
+    equal m the first row of the stable order wins.
     """
     n = V.shape[0]
-    order = np.argsort(np.einsum("ij,ij->i", G, G), kind="stable")
-    shuffled = np.take(V, np.random.default_rng(0).permutation(n), axis=0)
+    order = _stable_order(_row_dots(G, G))
 
     best_m = -np.inf
     best_row = -1
@@ -148,7 +210,7 @@ def _grid_argmax(V: Array, G: Array, score) -> tuple[int, float]:
         start, width = 0, 8
         while start < n and rows.size:
             stop = start + min(width, MAX_BLOCK // rows.size)
-            mins = np.minimum(mins, score(rows, shuffled[start:stop]))
+            np.minimum(mins, score(rows, slice(start, stop)), out=mins)
             keep = mins >= best_m
             rows, mins = rows[keep], mins[keep]
             start, width = stop, min(4 * width, 4096)
@@ -163,18 +225,44 @@ def _vi_scorer(T: Array, V: Array, kappa: float):
     """Block minima of a VI with T its operator at each row of V. For row u
     the inner objective over all v is one matrix-vector expression:
         (T(u) - 2 kappa u) . v + kappa ||v||^2 + (kappa ||u||^2 - T(u) . u),
-    so a block is one product of shape (block, rows), reduced with
-    min(axis=0) in a vectorised pass over the rows; the last term, added to
-    the minima, rounds as it would on every entry. BLAS may round a product
-    differently in its last bit with the number of rows still active, so
-    near-ties can break on that."""
-    lin = T - 2.0 * kappa * V
-    const = kappa * np.einsum("ij,ij->i", V, V) - np.einsum("ij,ij->i", T, V)
+    so a block is one product of shape (block, rows), reduced with a
+    minimum over the block; the last term, added to the minima, rounds as
+    it would on every entry. kappa ||v||^2 of every shuffled row and the
+    last term of every row are formed once, and T(u) - 2 kappa u for the
+    active rows of each block, which saves an (n, d) array for a few small
+    products. BLAS may round a product differently in its last bit with the
+    number of rows still active, so near-ties can break on that.
 
-    def score(rows, B):
-        block = B @ np.take(lin, rows, axis=0).T
-        block += kappa * np.einsum("ij,ij->i", B, B)[:, None]
-        return block.min(axis=0) + const[rows]
+    With fewer than 16 active rows (the first chunk's 8 against every
+    node) the block is a few columns wide, and numpy's minimum along axis 0
+    runs an inner loop as short as a row: 150 us for 4096 x 8. So the block
+    is halved in place instead, each half's minimum taken with the other's
+    over contiguous rows: 55 us, and no array is made. A minimum selects an
+    entry, and no entry is -0.0 (kappa ||v||^2 >= +0.0), so the order of
+    its comparisons leaves the bits alone; a NaN entry, in either order,
+    drops its row.
+    """
+    const = _row_dots(V, V)
+    const *= kappa
+    const -= _row_dots(T, V)
+    W = _shuffled(V)
+    vsq = _row_dots(W, W)
+    vsq *= kappa
+
+    def score(rows, block):
+        lin = np.take(V, rows, axis=0)
+        lin *= 2.0 * kappa
+        np.subtract(np.take(T, rows, axis=0), lin, out=lin)
+        out = W[block] @ lin.T
+        out += vsq[block, None]
+        if rows.size >= 16:
+            return out.min(axis=0) + const[rows]
+        b = out.shape[0]
+        while b > 1:
+            h = b // 2
+            np.minimum(out[:h], out[b - h : b], out=out[:h])
+            b -= h
+        return out[0] + const[rows]
 
     return score
 
@@ -182,12 +270,14 @@ def _vi_scorer(T: Array, V: Array, kappa: float):
 def _eval_scorer(f: Bifunction, V: Array, kappa: float):
     """Block minima of any bifunction: one eval_rows call on the pairs of
     the active rows of V and the block, plus kappa ||v - u||^2."""
+    W = _shuffled(V)
 
-    def score(rows, B):
+    def score(rows, block):
+        B = W[block]
         U = np.repeat(np.take(V, rows, axis=0), B.shape[0], axis=0)
-        W = np.tile(B, (rows.size, 1))
-        D = W - U
-        vals = f.eval_rows(U, W) + kappa * np.einsum("ij,ij->i", D, D)
+        P = np.tile(B, (rows.size, 1))
+        D = P - U
+        vals = f.eval_rows(U, P) + kappa * np.einsum("ij,ij->i", D, D)
         return vals.reshape(rows.size, B.shape[0]).min(axis=1)
 
     return score
@@ -202,9 +292,7 @@ def grid_solve(p: UREProblem, gs: GridSpec) -> OracleResult:
     n^2 > MAX_GENERIC_EVALS raises before any evaluation.
     """
     f = p.bifunction
-    points, h = _grid_points(p.feasible_set, gs)
-    feasible = p.feasible_set.contains_batch(points)
-    V = np.compress(feasible, points, axis=0)
+    V, h = _grid_points(p.feasible_set, gs)
     n = V.shape[0]
     if n == 0:
         raise EmptyGrid("no grid point passed the membership test")

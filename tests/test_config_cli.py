@@ -2,8 +2,11 @@
 
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -807,6 +810,19 @@ def test_cli_suite_mode(tmp_path, capsys):
     for stem in ("ball_proximal", "annulus_explicit"):
         assert (out / stem / "trace.csv").exists()
         assert (out / stem / "summary.json").exists()
+
+
+def test_importing_the_cli_leaves_the_process_pool_out():
+    """Only --suite runs a process pool, so a fresh interpreter that imports
+    proxequil.cli loads neither concurrent.futures nor multiprocessing
+    (with logging, about 17 ms of -X importtime); test_cli_suite_mode runs
+    the pool."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    code = "import sys, proxequil.cli; print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))"
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_cli_suite_reports_worst_exit(tmp_path, capsys):

@@ -24,7 +24,7 @@ from proxequil import (
     Sphere,
     TwoBallUnion,
 )
-from proxequil.geometry import SET_KINDS, _by_rows, _norm, _row_norms, as_vector
+from proxequil.geometry import MEMBERSHIP_SLAB, MEMBERSHIP_TOL, SET_KINDS, _by_rows, _norm, _row_norms, as_vector
 from problems import exterior_boundary_pairs, shipped_sets
 
 CONVEX_KINDS = (Box, Ball, Halfspace)
@@ -441,6 +441,49 @@ def test_row_norms_have_the_bits_of_linalg_norm_in_every_dimension(d):
         X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-150, 151, (n, d)).astype(float)
         X[rng.random((n, d)) < 0.05] = 0.0
         assert _same_bits(_row_norms(X), np.linalg.norm(X, axis=1))
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_row_norms_about_a_center_have_the_bits_of_linalg_norm(d):
+    """_row_norms(X, c) gives the bits of np.linalg.norm(X - c, axis=1) on
+    C-order, F-order and strided X, with NaN, +-inf and signed zeros in X
+    and in c, on both of its paths (n = 1 and 127 reduce once, n = 128 and
+    10^5 shift each column into its scratch column for 2 <= d < 8), and
+    leaves X as it was."""
+    rng = np.random.default_rng(500 + d)
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    c = np.where(rng.random(d) < 0.3, rng.choice(special, d), rng.standard_normal(d))
+    for n in (1, 127, 128, 10**5):
+        wide = rng.standard_normal((n, d + 1)) * 10.0 ** rng.integers(-150, 151, (n, d + 1)).astype(float)
+        marked = rng.random((n, d + 1)) < 0.05
+        wide[marked] = rng.choice(special, marked.sum())
+        X = wide[:, 1:].copy()
+        for layout in (X, np.asfortranarray(X), wide[:, 1:]):
+            before = layout.copy()
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = _row_norms(layout, c), np.linalg.norm(layout - c, axis=1)
+            assert _same_bits(got, want), (n, layout.strides)
+            assert _same_bits(layout, before)
+
+
+@pytest.mark.parametrize("kind", sorted(SET_KINDS))
+def test_contains_batch_does_not_depend_on_its_slabs(kind):
+    """contains_batch tests MEMBERSHIP_SLAB rows at a time; over 2.3 slabs of
+    points, every 7th of them projected onto the set, each answer is the
+    one-shot rule distance <= MEMBERSHIP_TOL (1 + ||x||), and that of the
+    row alone."""
+    s = _kind_in_dim(kind, 2)
+    n = 2 * MEMBERSHIP_SLAB + MEMBERSHIP_SLAB // 3
+    X = _random_points(s, n, seed=11)
+    X[::7] = [s.project(x) for x in X[::7]]
+    inside = s.contains_batch(X)
+    want = s._distance_batch(X) <= MEMBERSHIP_TOL * (1.0 + np.linalg.norm(X, axis=1))
+    assert inside.dtype == bool and inside.shape == (n,)
+    np.testing.assert_array_equal(inside, want)
+    assert 0 < inside.sum() < n
+    for i in range(0, n, 997):
+        assert s.contains(X[i]) == inside[i]
+    assert s.contains_batch(np.empty((0, 2))).shape == (0,)
 
 
 @pytest.mark.parametrize("d", range(1, 21))

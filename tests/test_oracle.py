@@ -7,13 +7,19 @@ analytic solutions of the shipped problems exactly on grid nodes.
 """
 
 import ast
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxequil import (
     Annulus,
@@ -37,7 +43,15 @@ from proxequil import (
     make_vi_bifunction,
 )
 from proxequil.config import build_problem, parse_config
-from proxequil.oracle import MAX_GENERIC_EVALS, _grid_argmax, _inner_lipschitz, _vi_scorer
+from proxequil.oracle import (
+    MAX_GENERIC_EVALS,
+    _grid_argmax,
+    _grid_points,
+    _inner_lipschitz,
+    _row_dots,
+    _stable_order,
+    _vi_scorer,
+)
 from problems import (
     annulus_pull_inner,
     annulus_pull_outer,
@@ -399,6 +413,141 @@ def test_grid_guards():
         )
     with pytest.raises(GridTooLarge):
         grid_solve(ball_pull(), GridSpec(4000))
+
+
+def test_grid_solve_rejects_an_inverted_box():
+    """A box whose lower bound exceeds its upper one on any axis raises Box's
+    own message before a node is made; before, the shipped ball at
+    resolution 40 with the box ((1, 1), (-1, -1)) returned a negative
+    spacing and tolerance and certified: False at the exact solution. A
+    flat box, lower == upper on one axis, is still a grid."""
+    p = build_problem(parse_config(str(CONFIG_DIR / "ball_proximal.cfg")))
+    for lo, hi in (([1.0, 1.0], [-1.0, -1.0]), ([-1.0, 1.0], [1.0, -1.0])):
+        with pytest.raises(ValueError, match=r"^box needs lower <= upper componentwise$"):
+            grid_solve(p, GridSpec(40, box=(np.array(lo), np.array(hi))))
+    flat = grid_solve(p, GridSpec(40, box=(np.zeros(2), np.array([1.0, 0.0]))))
+    assert flat.spacing == 0.025 and flat.tolerance > 0.0 and flat.certified
+    np.testing.assert_array_equal(flat.point, [1.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "s, res, box",
+    [
+        (Ball(np.array([0.3]), 1.0), 50, None),
+        (Annulus(np.array([0.1, -0.2]), 0.5, 1.0), 60, None),
+        (TwoBallUnion(np.array([-2.0, 0.0, 0.1]), 1.0, np.array([2.0, 0.0, 0.0]), 0.7), 20, None),
+        (Ball(np.zeros(2), 1.0), 37, (np.array([0.1, -0.7]), np.array([1.3, 0.2]))),
+    ],
+)
+def test_grid_points_are_the_feasible_nodes_of_the_meshgrid_lattice(s, res, box):
+    """_grid_points fills the lattice one axis at a time into one array; its
+    feasible nodes are those of meshgrid(..., indexing="ij") plus stack,
+    bit for bit and in the same order, in dimensions 1 to 3."""
+    lo, hi = box if box is not None else s.bounding_box
+    axes = [np.linspace(lo[i], hi[i], res + 1) for i in range(s.dim)]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    V, h = _grid_points(s, GridSpec(res, box=box))
+    want = points[s.contains_batch(points)]
+    assert V.shape == want.shape and V.flags.c_contiguous
+    assert np.array_equal(V.view(np.uint64), want.view(np.uint64))
+    assert h == float(np.max((hi - lo) / res))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_row_dots_have_the_bits_of_einsum(d):
+    """_row_dots(A, B) gives the bits of np.einsum("ij,ij->i", A, B), signed
+    zeros included, on C-order, F-order and strided rows of mixed
+    magnitudes, exact cancellations, zeros of both signs and +-inf."""
+    rng = np.random.default_rng(40 + d)
+    special = np.array([0.0, -0.0, 1.0, -1.0, 3.0, np.inf, -np.inf])
+    for n in (1, 5, 1000, 10**5):
+        wide = rng.standard_normal((n, 2 * d)) * 10.0 ** rng.integers(-150, 151, (n, 2 * d)).astype(float)
+        marked = rng.random((n, 2 * d)) < 0.3
+        wide[marked] = rng.choice(special, marked.sum())
+        A, B = wide[:, :d].copy(), wide[:, d:].copy()
+        for a, b in ((A, B), (A, A), (np.asfortranarray(A), B), (wide[:, ::2], wide[:, 1::2])):
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = _row_dots(a, b), np.einsum("ij,ij->i", a, b)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, a.strides)
+
+
+_G_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, math.inf, -math.inf, math.nan, -math.nan]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_G_ENTRIES, _G_ENTRIES), min_size=1, max_size=200))
+def test_stable_order_is_the_stable_argsort(rows):
+    """The row order of the max-min is np.argsort(||G||^2, kind="stable")
+    element for element, for keys made as _grid_argmax makes them: heavy
+    ties, zeros of both signs in G, inf, and NaN of either sign, which
+    takes the float sort."""
+    G = np.array(rows, dtype=float)
+    with np.errstate(over="ignore"):
+        key = _row_dots(G, G)
+    np.testing.assert_array_equal(_stable_order(key), np.argsort(key, kind="stable"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 80), st.integers(-40, 40), st.integers(-40, 40), st.sampled_from([1.0, 0.5, 0.37]))
+def test_stable_order_on_identity_operator_lattices(res, i, j, scale):
+    """T(u) = u - p on a lattice over [-1, 1]^2, p a node for scale 1 and
+    off the lattice otherwise: ||T||^2 ties across the lattice's symmetries,
+    as on 4 of the 5 audit grids, and the order is still the stable
+    argsort's. So is that of all-equal keys."""
+    axis = np.linspace(-1.0, 1.0, res + 1)
+    V = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+    G = V - scale * np.array([i, j]) / 40.0
+    key = _row_dots(G, G)
+    np.testing.assert_array_equal(_stable_order(key), np.argsort(key, kind="stable"))
+    np.testing.assert_array_equal(_stable_order(np.full(G.shape[0], 2.0)), np.arange(G.shape[0]))
+
+
+_SHIPPED_ORACLE_BITS = """
+import json, sys
+from pathlib import Path
+from proxequil.config import build_problem, parse_config
+from proxequil.oracle import GridSpec, grid_solve
+out = {}
+for path in sorted(Path(sys.argv[1]).glob("*.cfg")):
+    rc = parse_config(str(path))
+    r = grid_solve(build_problem(rc), GridSpec(rc.oracle_resolution))
+    out[path.name] = [r.point.tobytes().hex(), float.hex(r.inner_value), r.n_feasible]
+print(json.dumps(out))
+"""
+
+
+def test_grid_solve_gives_the_same_bits_in_every_process():
+    """The five shipped configs at their default resolution give the same
+    oracle point and inner value bits in fresh interpreters with other hash
+    seeds and other glibc allocator settings: MALLOC_PERTURB_ fills new and
+    freed heap memory with a byte, which shows an entry of np.empty read
+    before it is written, and a 1e9 mmap threshold moves every array onto
+    the heap, at other addresses and alignments. The processes are compared
+    with each other, not with frozen bits, which differ between BLAS builds."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    variants = [
+        {"PYTHONHASHSEED": "0"},
+        {"PYTHONHASHSEED": "4242"},
+        {"MALLOC_PERTURB_": "165"},
+        {"MALLOC_PERTURB_": "90", "MALLOC_MMAP_THRESHOLD_": "1000000000"},
+    ]
+    outputs = []
+    for variant in variants:
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "PYTHONHASHSEED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        env.update(variant)
+        run = subprocess.run(
+            [sys.executable, "-c", _SHIPPED_ORACLE_BITS, str(CONFIG_DIR)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0 and run.stderr == "", (variant, run.stderr)
+        outputs.append(json.loads(run.stdout))
+    assert sorted(outputs[0]) == sorted(p.name for p in CONFIG_DIR.glob("*.cfg")) and len(outputs[0]) == 5
+    for variant, out in zip(variants[1:], outputs[1:]):
+        assert out == outputs[0], variant
 
 
 def test_empty_grid_raises():
