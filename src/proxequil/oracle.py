@@ -27,8 +27,8 @@ the long axis of a few columns are several times slower than need be. So
 rows are gathered with np.take and np.compress (0.6 against 5.1 ms for the
 shuffle of a 125,629-node grid, numpy 2.4, one core), row dots are summed
 one column at a time (_row_dots), the set's membership test works on
-columns too (geometry._row_norms), and a block with few active rows takes
-its minimum by halving it in place (_vi_scorer).
+columns too (geometry._row_norms), and a block takes its minimum by
+halving it in place (_vi_scorer).
 
 A grid_solve call also makes as few full-grid arrays as it can, because
 glibc returns a freed heap to the system and the next call faults it in
@@ -159,38 +159,20 @@ def _row_dots(A: Array, B: Array) -> Array:
     return out
 
 
-def _shuffled(V: Array) -> Array:
-    """The rows of V in the order of default_rng(0).permutation, from which
-    the max-min takes its v-blocks."""
-    return np.take(V, np.random.default_rng(0).permutation(V.shape[0]), axis=0)
-
-
-def _stable_order(key: Array) -> Array:
-    """np.argsort(key, kind="stable") for keys made by _row_dots(G, G),
-    which are +0.0 or more: their 64-bit patterns order them as their
-    values do, and numpy sorts those about 15 % faster (2.6 against 2.9 ms
-    on a 125,629-node audit grid). A NaN key would sort apart, first or last
-    by its sign, so when the ends hold one the floats are sorted instead."""
-    order = np.argsort(key.view(np.int64), kind="stable")
-    if np.isnan(key[order[0]]) or np.isnan(key[order[-1]]):
-        return np.argsort(key, kind="stable")
-    return order
-
-
-def _grid_argmax(V: Array, G: Array, score) -> tuple[int, float]:
+def _grid_argmax(V: Array, G: Array, scorer) -> tuple[int, float]:
     """Argmax over rows u of V of m(u) = min over rows v of V of F(u, v) +
     kappa||v-u||^2, given G(u) = grad_v F(u, u) at each row and a scorer
-    built on V (_vi_scorer, _eval_scorer): score(rows, block), that minimum
-    over the slice block of the scorer's shuffled rows (_shuffled) for each
-    u = V[rows].
+    built on V (_vi_scorer, _eval_scorer). The v rows are shuffled once
+    here, W = V in the order of default_rng(0).permutation, and scorer(W)
+    gives score(rows, block): that minimum over the v rows W[block], a
+    slice, for each u = V[rows].
 
     Rows are taken in the stable order of ||G||^2 (||T||^2 for a VI), the 8
     smallest first and then 2048 at a time, against v-blocks of 8, 32, 128,
     512, 2048 and then 4096 points, each of at most MAX_BLOCK pairs. A row's
     chunk sets the shape of the BLAS products it is scored in, and so the
-    last bit of its m (see _vi_scorer); so the order is that of
-    np.argsort(kind="stable") element for element (_stable_order), and
-    the shuffle is default_rng(0).permutation's. After each block a row
+    last bit of its m (see _vi_scorer); so the order is np.argsort's stable
+    one and the shuffle default_rng(0).permutation's. After each block a row
     whose running minimum falls below the best completed row is abandoned,
     so every row of the first chunk completes; the 8-point first block
     drops most rows after 8 values. A dropped row's true m is already below
@@ -198,7 +180,8 @@ def _grid_argmax(V: Array, G: Array, score) -> tuple[int, float]:
     equal m the first row of the stable order wins.
     """
     n = V.shape[0]
-    order = _stable_order(_row_dots(G, G))
+    order = np.argsort(_row_dots(G, G), kind="stable")
+    score = scorer(np.take(V, np.random.default_rng(0).permutation(n), axis=0))
 
     best_m = -np.inf
     best_row = -1
@@ -233,54 +216,59 @@ def _vi_scorer(T: Array, V: Array, kappa: float):
     products. BLAS may round a product differently in its last bit with the
     number of rows still active, so near-ties can break on that.
 
-    With fewer than 16 active rows (the first chunk's 8 against every
-    node) the block is a few columns wide, and numpy's minimum along axis 0
-    runs an inner loop as short as a row: 150 us for 4096 x 8. So the block
-    is halved in place instead, each half's minimum taken with the other's
-    over contiguous rows: 55 us, and no array is made. A minimum selects an
-    entry, and no entry is -0.0 (kappa ||v||^2 >= +0.0), so the order of
-    its comparisons leaves the bits alone; a NaN entry, in either order,
-    drops its row.
+    The block is halved in place, each half's minimum taken with the
+    other's over contiguous rows, and no array is made. numpy's minimum
+    along axis 0 runs an inner loop as short as a row: on the first chunk's
+    8 rows against every node it takes 85 us for 4096 x 8, halving 22 us.
+    It is a few us faster on blocks of 128 rows or more, but the max-min of
+    perfbench's seed-1 audit grids takes 59 ms halving every block, 58 ms
+    with min(axis=0) from 16 rows up and 69 ms with it on every block. A
+    minimum selects an entry, and no entry is -0.0 (kappa ||v||^2 >= +0.0),
+    so the order of its comparisons leaves the bits alone; a NaN entry, in
+    either order, drops its row.
     """
     const = _row_dots(V, V)
     const *= kappa
     const -= _row_dots(T, V)
-    W = _shuffled(V)
-    vsq = _row_dots(W, W)
-    vsq *= kappa
 
-    def score(rows, block):
-        lin = np.take(V, rows, axis=0)
-        lin *= 2.0 * kappa
-        np.subtract(np.take(T, rows, axis=0), lin, out=lin)
-        out = W[block] @ lin.T
-        out += vsq[block, None]
-        if rows.size >= 16:
-            return out.min(axis=0) + const[rows]
-        b = out.shape[0]
-        while b > 1:
-            h = b // 2
-            np.minimum(out[:h], out[b - h : b], out=out[:h])
-            b -= h
-        return out[0] + const[rows]
+    def on(W):
+        vsq = _row_dots(W, W)
+        vsq *= kappa
 
-    return score
+        def score(rows, block):
+            lin = np.take(V, rows, axis=0)
+            lin *= 2.0 * kappa
+            np.subtract(np.take(T, rows, axis=0), lin, out=lin)
+            out = W[block] @ lin.T
+            out += vsq[block, None]
+            b = out.shape[0]
+            while b > 1:
+                h = b // 2
+                np.minimum(out[:h], out[b - h : b], out=out[:h])
+                b -= h
+            return out[0] + const[rows]
+
+        return score
+
+    return on
 
 
 def _eval_scorer(f: Bifunction, V: Array, kappa: float):
     """Block minima of any bifunction: one eval_rows call on the pairs of
     the active rows of V and the block, plus kappa ||v - u||^2."""
-    W = _shuffled(V)
 
-    def score(rows, block):
-        B = W[block]
-        U = np.repeat(np.take(V, rows, axis=0), B.shape[0], axis=0)
-        P = np.tile(B, (rows.size, 1))
-        D = P - U
-        vals = f.eval_rows(U, P) + kappa * np.einsum("ij,ij->i", D, D)
-        return vals.reshape(rows.size, B.shape[0]).min(axis=1)
+    def on(W):
+        def score(rows, block):
+            B = W[block]
+            U = np.repeat(np.take(V, rows, axis=0), B.shape[0], axis=0)
+            P = np.tile(B, (rows.size, 1))
+            D = P - U
+            vals = f.eval_rows(U, P) + kappa * np.einsum("ij,ij->i", D, D)
+            return vals.reshape(rows.size, B.shape[0]).min(axis=1)
 
-    return score
+        return score
+
+    return on
 
 
 def grid_solve(p: UREProblem, gs: GridSpec) -> OracleResult:
@@ -303,8 +291,8 @@ def grid_solve(p: UREProblem, gs: GridSpec) -> OracleResult:
         )
     tol = _inner_lipschitz(p) * h
     G = f.grad_v_rows(V, V)
-    score = _vi_scorer(G, V, p.kappa) if f.vi_operator is not None else _eval_scorer(f, V, p.kappa)
-    row, m_best = _grid_argmax(V, G, score)
+    scorer = _vi_scorer(G, V, p.kappa) if f.vi_operator is not None else _eval_scorer(f, V, p.kappa)
+    row, m_best = _grid_argmax(V, G, scorer)
     return OracleResult(V[row], float(m_best), bool(m_best >= -tol), float(tol), h, n)
 
 

@@ -466,13 +466,15 @@ def test_row_norms_about_a_center_have_the_bits_of_linalg_norm(d):
             assert _same_bits(layout, before)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
 @pytest.mark.parametrize("kind", sorted(SET_KINDS))
-def test_contains_batch_does_not_depend_on_its_slabs(kind):
+def test_contains_batch_does_not_depend_on_its_slabs(kind, d):
     """contains_batch tests MEMBERSHIP_SLAB rows at a time; over 2.3 slabs of
     points, every 7th of them projected onto the set, each answer is the
     one-shot rule distance <= MEMBERSHIP_TOL (1 + ||x||), and that of the
-    row alone."""
-    s = _kind_in_dim(kind, 2)
+    row alone, in the grid oracle's dimensions and in one that only
+    ConstraintSet.sample's membership test sees."""
+    s = _kind_in_dim(kind, d)
     n = 2 * MEMBERSHIP_SLAB + MEMBERSHIP_SLAB // 3
     X = _random_points(s, n, seed=11)
     X[::7] = [s.project(x) for x in X[::7]]
@@ -483,7 +485,7 @@ def test_contains_batch_does_not_depend_on_its_slabs(kind):
     assert 0 < inside.sum() < n
     for i in range(0, n, 997):
         assert s.contains(X[i]) == inside[i]
-    assert s.contains_batch(np.empty((0, 2))).shape == (0,)
+    assert s.contains_batch(np.empty((0, d))).shape == (0,)
 
 
 @pytest.mark.parametrize("d", range(1, 21))

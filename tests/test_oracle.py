@@ -18,8 +18,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from proxequil import (
     Annulus,
@@ -49,7 +47,6 @@ from proxequil.oracle import (
     _grid_points,
     _inner_lipschitz,
     _row_dots,
-    _stable_order,
     _vi_scorer,
 )
 from problems import (
@@ -469,40 +466,6 @@ def test_row_dots_have_the_bits_of_einsum(d):
             with np.errstate(invalid="ignore", over="ignore"):
                 got, want = _row_dots(a, b), np.einsum("ij,ij->i", a, b)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, a.strides)
-
-
-_G_ENTRIES = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, math.inf, -math.inf, math.nan, -math.nan]),
-    st.floats(-1e6, 1e6),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_G_ENTRIES, _G_ENTRIES), min_size=1, max_size=200))
-def test_stable_order_is_the_stable_argsort(rows):
-    """The row order of the max-min is np.argsort(||G||^2, kind="stable")
-    element for element, for keys made as _grid_argmax makes them: heavy
-    ties, zeros of both signs in G, inf, and NaN of either sign, which
-    takes the float sort."""
-    G = np.array(rows, dtype=float)
-    with np.errstate(over="ignore"):
-        key = _row_dots(G, G)
-    np.testing.assert_array_equal(_stable_order(key), np.argsort(key, kind="stable"))
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 80), st.integers(-40, 40), st.integers(-40, 40), st.sampled_from([1.0, 0.5, 0.37]))
-def test_stable_order_on_identity_operator_lattices(res, i, j, scale):
-    """T(u) = u - p on a lattice over [-1, 1]^2, p a node for scale 1 and
-    off the lattice otherwise: ||T||^2 ties across the lattice's symmetries,
-    as on 4 of the 5 audit grids, and the order is still the stable
-    argsort's. So is that of all-equal keys."""
-    axis = np.linspace(-1.0, 1.0, res + 1)
-    V = np.stack([m.ravel() for m in np.meshgrid(axis, axis, indexing="ij")], axis=1)
-    G = V - scale * np.array([i, j]) / 40.0
-    key = _row_dots(G, G)
-    np.testing.assert_array_equal(_stable_order(key), np.argsort(key, kind="stable"))
-    np.testing.assert_array_equal(_stable_order(np.full(G.shape[0], 2.0)), np.arange(G.shape[0]))
 
 
 _SHIPPED_ORACLE_BITS = """
