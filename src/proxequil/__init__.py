@@ -7,6 +7,8 @@ gap (merit-function machinery and the descent method), oracle (independent
 grid and sampling audits), and config/cli (batch plumbing).
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DimensionMismatch,
     EmptyGrid,
@@ -76,62 +78,5 @@ from .config import RunConfig, build_problem, emit_config, parse_config
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Annulus",
-    "Ball",
-    "Bifunction",
-    "Box",
-    "BoxMinusBall",
-    "ConstraintSet",
-    "DimensionMismatch",
-    "EmptyGrid",
-    "EmptyTrace",
-    "FejerReport",
-    "GridSpec",
-    "GridTooLarge",
-    "Halfspace",
-    "InnerSolveFailed",
-    "MissingGradient",
-    "NecessaryConditionReport",
-    "NonFiniteValue",
-    "NormalCheckReport",
-    "OracleResult",
-    "ParseError",
-    "PointNotInSet",
-    "ProxequilError",
-    "PseudomonotoneReport",
-    "RunConfig",
-    "SET_KINDS",
-    "SamplingExhausted",
-    "SolverConfig",
-    "Sphere",
-    "Status",
-    "SubproblemCheck",
-    "SubproblemFailed",
-    "Trace",
-    "TraceRecord",
-    "TwoBallUnion",
-    "UREProblem",
-    "ValidationError",
-    "build_problem",
-    "check_necessary_condition",
-    "check_pseudomonotone",
-    "default_step_size",
-    "descent_solve",
-    "emit_config",
-    "explicit_solve",
-    "fejer_check",
-    "finite_diff_gradient",
-    "gap_gradient",
-    "gap_value",
-    "grid_solve",
-    "inertial_proximal_solve",
-    "line_search",
-    "make_vi_bifunction",
-    "parse_config",
-    "problem_residual",
-    "proximal_solve",
-    "solve_subproblem",
-    "verify_subproblem_inequality",
-    "w_map",
-]
+# every public name imported above, not the submodules those imports bind
+__all__ = sorted(n for n, v in globals().items() if not (n.startswith("_") or isinstance(v, _ModuleType)))

@@ -22,7 +22,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import ParseError, ProxequilError, ValidationError
-from .geometry import SET_KINDS, ConstraintSet
+from .geometry import SET_KINDS, ConstraintSet, _by_rows
 from .model import Bifunction, SolverConfig, UREProblem, make_vi_bifunction
 from .model import _PROBLEM_RULES, _SOLVER_RULES, _broken_rules
 from .oracle import _GRID_RULES
@@ -275,6 +275,8 @@ def build_bifunction(rc: RunConfig) -> Bifunction:
 
     def T(u):
         out = np.asarray(u, dtype=float) @ At
+        if out.ndim == 2:  # rows: the offset by columns, on _by_rows's rule
+            return _by_rows(np.add, out, b, out=out)
         out += b
         return out
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._minimize import multistart_minimize
 from .errors import DimensionMismatch, MissingGradient, NonFiniteValue, ValidationError
-from .geometry import Array, ConstraintSet, _by_rows, _cached_sample, _is_integer
+from .geometry import Array, ConstraintSet, _by_rows, _cached_sample, _is_integer, _row_dots
 
 
 class Status(enum.Enum):
@@ -91,7 +91,7 @@ class Bifunction:
             return np.array([self(u, v) for u, v in zip(np.broadcast_to(U, V.shape), V)], dtype=float)
         if np.ndim(U) == 1:
             return _by_rows(np.subtract, V, U) @ np.asarray(self.vi_operator(U), dtype=float)
-        return np.einsum("ij,ij->i", V - U, self.grad_v_rows(U, V))
+        return _row_dots(V - U, self.grad_v_rows(U, V))
 
     def grad_v_rows(self, U: Array, V: Array) -> Array:
         """grad_v F(u, v) for every pair of U (one point or one per row) and V,
@@ -163,6 +163,10 @@ class UREProblem:
 
     def __post_init__(self):
         _enforce(_PROBLEM_RULES, self)
+        if not math.isfinite(self.kappa):  # k finite and r > 0 leave k/(2r) to overflow
+            raise ValidationError(
+                [f"kappa = k/(2r) must be finite; got {self.kappa!r} from k={self.k!r}, r={self.r!r}"]
+            )
         if self.r > self.feasible_set.prox_constant:
             raise ValueError(
                 f"r={self.r:g} exceeds the set's prox-regularity constant "

@@ -26,9 +26,9 @@ indexing, its broadcasts of one row, its row sums and its reductions along
 the long axis of a few columns are several times slower than need be. So
 rows are gathered with np.take and np.compress (0.6 against 5.1 ms for the
 shuffle of a 125,629-node grid, numpy 2.4, one core), row dots are summed
-one column at a time (_row_dots), the set's membership test works on
-columns too (geometry._row_norms), and a block takes its minimum by
-halving it in place (_vi_scorer).
+one column at a time (geometry._row_dots), the set's membership test
+works on columns too (geometry._row_norms), and a block takes its
+minimum by halving it in place (_vi_scorer).
 
 A grid_solve call also makes as few full-grid arrays as it can, because
 glibc returns a freed heap to the system and the next call faults it in
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGrid, GridTooLarge, NonFiniteValue, SamplingExhausted
-from .geometry import Array, ConstraintSet, _is_integer, _row_norms, as_vector
+from .geometry import Array, ConstraintSet, _is_integer, _row_dots, _row_norms, as_vector
 from .model import Bifunction, UREProblem, _enforce
 
 MAX_GRID_POINTS = int(1e7)
@@ -107,7 +107,9 @@ def finite_diff_gradient(fn, u) -> Array:
 def _grid_points(s: ConstraintSet, gs: GridSpec) -> tuple[Array, float]:
     """The feasible nodes of gs's lattice, in the order of meshgrid's "ij"
     ravel, and its spacing. The lattice is filled one axis at a time into a
-    single array, which goes once contains_batch has tested it."""
+    single array, which goes once contains_batch has tested it.
+    NonFiniteValue when a spacing or node is not finite: a box wider than
+    the largest float has no lattice."""
     if s.dim > 3:
         raise GridTooLarge(f"grid oracle handles dimension <= 3, got {s.dim}")
     lo, hi = gs.box if gs.box is not None else s.bounding_box
@@ -119,9 +121,14 @@ def _grid_points(s: ConstraintSet, gs: GridSpec) -> tuple[Array, float]:
     total = m**s.dim
     if total > MAX_GRID_POINTS:
         raise GridTooLarge(f"{total} grid points exceeds the {MAX_GRID_POINTS} guard")
+    with np.errstate(over="ignore", invalid="ignore"):
+        axes = [np.linspace(lo[i], hi[i], m) for i in range(s.dim)]
+    # an axis whose spacing overflows gets NaN nodes, so this refuses it too
+    if not all(np.isfinite(a).all() for a in axes):
+        raise NonFiniteValue(f"the grid's spacing or a node is not finite (box {lo.tolist()} to {hi.tolist()})")
     lattice = np.empty((m,) * s.dim + (s.dim,))
-    for i in range(s.dim):
-        lattice[..., i] = np.linspace(lo[i], hi[i], m).reshape((m,) + (1,) * (s.dim - 1 - i))
+    for i, a in enumerate(axes):
+        lattice[..., i] = a.reshape((m,) + (1,) * (s.dim - 1 - i))
     points = lattice.reshape(-1, s.dim)
     h = float(np.max((hi - lo) / gs.resolution))
     return np.compress(s.contains_batch(points), points, axis=0), h
@@ -139,24 +146,6 @@ def _inner_lipschitz(p: UREProblem) -> float:
         V = p.feasible_set.sample(8, 1)
     grads = p.bifunction.grad_v_rows(U, V) + 2.0 * p.kappa * (V - U)
     return 2.0 * float(_row_norms(grads).max())
-
-
-def _row_dots(A: Array, B: Array) -> Array:
-    """A[i] . B[i] for each row, with the bits of np.einsum("ij,ij->i", A, B).
-
-    einsum adds the products to zeroed accumulators, which for two columns
-    gives p0 + p1 with a -0.0 sum turned into +0.0; here each column is
-    multiplied on its own and the sum plus 0.0 makes the same turn. On
-    rows of 2 einsum runs numpy's short-row path, 3 to 4 times slower than
-    the columns at 10^5 rows (numpy 2.4). It sums three columns as
-    (p0 + p2) + p1 when they are contiguous, so other widths call it.
-    """
-    if A.shape[1] != 2:
-        return np.einsum("ij,ij->i", A, B)
-    out = np.multiply(A[:, 0], B[:, 0])
-    out += np.multiply(A[:, 1], B[:, 1])
-    out += 0.0
-    return out
 
 
 def _grid_argmax(V: Array, G: Array, scorer) -> tuple[int, float]:
@@ -263,7 +252,7 @@ def _eval_scorer(f: Bifunction, V: Array, kappa: float):
             U = np.repeat(np.take(V, rows, axis=0), B.shape[0], axis=0)
             P = np.tile(B, (rows.size, 1))
             D = P - U
-            vals = f.eval_rows(U, P) + kappa * np.einsum("ij,ij->i", D, D)
+            vals = f.eval_rows(U, P) + kappa * _row_dots(D, D)
             return vals.reshape(rows.size, B.shape[0]).min(axis=1)
 
         return score
@@ -324,7 +313,7 @@ def check_pseudomonotone(
     U = s.sample(n_pairs, 0)
     V = s.sample(n_pairs, 1)
     D = V - U
-    q = kappa * np.einsum("ij,ij->i", D, D)
+    q = kappa * _row_dots(D, D)
     bad = np.flatnonzero((f.eval_rows(U, V) + q >= 0.0) & (f.eval_rows(V, U) + q > 1e-10))
     found = tuple((U[i], V[i]) for i in bad[:25])
     return PseudomonotoneReport(bad.size == 0, n_pairs, int(bad.size), found)

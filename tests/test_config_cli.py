@@ -41,6 +41,11 @@ def _write(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def _strict(name):
+    """json.loads's parse_constant: NaN and Infinity are not strict JSON."""
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def test_minimal_config_fills_defaults(tmp_path):
     rc = parse_config(_write(tmp_path, MINIMAL))
     assert rc.scheme == "proximal"
@@ -453,6 +458,73 @@ solver.lambda = 0.5
         assert (out / "trace.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [[], ["--oracle", "--verify"]], ids=["plain", "audited"])
+def test_cli_rejects_an_infinite_kappa(tmp_path, capsys, flags):
+    """A finite k and a positive r can still give kappa = k/(2r) = inf. The
+    step lam/(1 + kappa) was then 0, so the trap stopped at its start as
+    converged with "final_gap": NaN, and --oracle raised on the Fejer
+    check's epsilon = inf with a traceback."""
+    text = (CONFIG_DIR / "two_ball_trap.cfg").read_text().replace("problem.r = 1.0", "problem.r = 5e-324")
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text), *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "proxequil: kappa = k/(2r) must be finite; got inf from k=1.0, r=5e-324\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, old, new, message",
+    [
+        # kappa = 5e307: (1 + kappa)^2 in the Fejer check raised OverflowError,
+        # and nothing was written. At this kappa the grid abandons no row, so
+        # the default resolution 400 takes 16 s; 40 takes 0.02 s.
+        ("ball_proximal", "problem.k = 1.0", "problem.k = 1e308\noracle.resolution = 40",
+         "(1 + epsilon)^2 overflows; epsilon = 5e+307"),
+        # a box 2e308 wide: the grid's spacing was inf and its nodes NaN, and
+        # the summary held "oracle_distance": Infinity at a corner outside the
+        # ball
+        ("ball_descent", "problem.set.radius = 1.0", "problem.set.radius = 1e308",
+         "the grid's spacing or a node is not finite (box [-1e+308, -1e+308] to [1e+308, 1e+308])"),
+    ],
+    ids=["fejer-overflow", "grid-overflow"],
+)
+def test_cli_oracle_that_overflows_is_not_computed(tmp_path, capsys, name, old, new, message):
+    """The converged run exits 1 with the oracle row's message and writes
+    both files, the oracle's fields null and the summary strict JSON."""
+    text = (CONFIG_DIR / f"{name}.cfg").read_text()
+    assert old in text
+    out = tmp_path / "out"
+    assert main(["run", _write(tmp_path, text.replace(old, new)), "--oracle", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"proxequil: oracle not computed: {message}\n"
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_strict)
+    assert summary["status"] == "converged"
+    assert summary["oracle_point"] is None and summary["oracle_distance"] is None
+    assert summary.get("fejer_passed") is None
+    assert (out / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8])
+def test_affine_operator_adds_its_offset_with_the_bits_of_a_broadcast(d):
+    """build_bifunction's T adds its offset to a stack of rows one column at a
+    time on _by_rows's rule (2 <= d < 8 and 128 rows or more) and to a point
+    in one add; every layout of rows gives the bits of (U @ A.T) + b."""
+    rng = np.random.default_rng(40 + d)
+    A, b = rng.standard_normal((d, d)), rng.standard_normal(d)
+    b[0] = -0.0
+    rc = RunConfig(scheme="proximal", k=1.0, r=1.0, start=(0.0,) * d, bifunction_kind="affine_vi", set_kind="ball",
+                   set_params=(), matrix=tuple(map(tuple, A)), offset=tuple(b))
+    T = config.build_bifunction(rc).vi_operator
+    for n in (None, 1, 127, 128, 10**4):
+        U = rng.standard_normal(d if n is None else (n, d))
+        if n is not None:
+            U[0] = 0.0
+        for layout in (U, np.asfortranarray(U)):
+            want = np.asarray(layout) @ A.T
+            want += b
+            got = T(layout)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (n, layout.strides)
+
+
 @pytest.mark.parametrize(
     "old, new, alpha",
     [
@@ -498,11 +570,7 @@ def test_cli_verify_without_accepted_step_writes_null(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", _write(tmp_path, text), "--verify", "--out", str(out)])
     assert code == 3
-
-    def strict(name):
-        raise ValueError(f"{name} is not valid JSON")
-
-    summary = json.loads((out / "summary.json").read_text(), parse_constant=strict)
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_strict)
     assert summary["status"] == "subproblem_failed"
     assert summary["subproblem_check_passed"] is None
     assert summary["subproblem_check_worst"] is None
@@ -730,11 +798,13 @@ def test_python_run_config_gets_the_file_message(tmp_path, capsys, case):
 # to the solver functions the benchmark tracer wraps and to the unchecked
 # entries the loops call in their place.
 _TRACED_CALLS = {
-    # 157 inner sweeps over the 37 implicit steps, 38 residual measures, the
-    # final residual and the final gap
-    "ball_proximal": (197, dict(_solve_subproblem=37, verify_subproblem_inequality=37, _line_search=0, gap_value=1)),
-    # 1,227 inner sweeps over 287 steps, 288 measures and the two merits
-    "annulus_inertial": (1517, dict(_solve_subproblem=287, verify_subproblem_inequality=287, _line_search=0, gap_value=1)),
+    # 111 inner sweeps over the 37 implicit steps, 38 residual measures, the
+    # final residual and the final gap (157 sweeps with every step stopped
+    # at inner_tol, schemes.INNER_THETA = 0)
+    "ball_proximal": (151, dict(_solve_subproblem=37, verify_subproblem_inequality=37, _line_search=0, gap_value=1)),
+    # 862 inner sweeps over 287 steps, 288 measures and the two merits (1,227
+    # at INNER_THETA = 0)
+    "annulus_inertial": (1152, dict(_solve_subproblem=287, verify_subproblem_inequality=287, _line_search=0, gap_value=1)),
     # 53 explicit steps, each measured once (52 iterations), the final
     # residual and the final gap
     "annulus_explicit": (55, dict(_solve_subproblem=0, verify_subproblem_inequality=0, _line_search=0, gap_value=1)),
@@ -785,6 +855,26 @@ def test_shipped_runs_project_through_the_public_method(tmp_path, monkeypatch, n
     assert execute(parse_config(path), out_dir=str(tmp_path / "verified"), verify=True) == 0
     assert len(nearest) == calls
     assert counts == {**traced, **public, "project": calls, "member": 5 + 2 * traced["verify_subproblem_inequality"]}
+
+
+@pytest.mark.parametrize("name", ["ball_proximal", "annulus_inertial", "two_ball_trap"])
+def test_zero_theta_gives_the_runs_of_exact_steps(tmp_path, monkeypatch, name):
+    """With schemes.INNER_THETA = 0 every implicit step of a run stops at
+    solver.inner_tol, as before inexact steps: the run writes the bytes of
+    one whose _solve_subproblem is handed cfg.inner_tol whatever it is
+    asked, and makes the 197, 1,517 and 16 projections that rule made."""
+    path = str(CONFIG_DIR / f"{name}.cfg")
+    solve = schemes._solve_subproblem
+    with monkeypatch.context() as m:
+        m.setattr(schemes, "_solve_subproblem", lambda p, w, z, cfg, tol: solve(p, w, z, cfg, cfg.inner_tol))
+        exact = execute(parse_config(path), out_dir=str(tmp_path / "exact"), verify=True)
+    project, calls = ConstraintSet.project, []
+    monkeypatch.setattr(ConstraintSet, "project", lambda s, x: calls.append(1) or project(s, x))
+    monkeypatch.setattr(schemes, "INNER_THETA", 0.0)
+    assert execute(parse_config(path), out_dir=str(tmp_path / "zero"), verify=True) == exact == 0
+    assert len(calls) == {"ball_proximal": 197, "annulus_inertial": 1517, "two_ball_trap": 16}[name]
+    for f in ("trace.csv", "summary.json"):
+        assert (tmp_path / "zero" / f).read_bytes() == (tmp_path / "exact" / f).read_bytes()
 
 
 def test_verify_resolves_auto_lambda_once(tmp_path, monkeypatch):

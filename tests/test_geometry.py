@@ -488,6 +488,21 @@ def test_contains_batch_does_not_depend_on_its_slabs(kind, d):
     assert s.contains_batch(np.empty((0, d))).shape == (0,)
 
 
+def test_membership_refuses_a_distance_that_overflows():
+    """The corner (1e308, 1e308) lies outside the ball of radius 1e308, but
+    its distance overflows to inf, as does its tolerance 1e-9 (1 + ||x||),
+    and inf <= inf let it in. contains, member and contains_batch, on one
+    row and on 200 (the column path of _row_norms), refuse it now."""
+    s = Ball(np.zeros(2), 1e308)
+    X = np.array([[1e308, 1e308], [1e150, 0.0], [0.0, 0.0], [-1e308, 1e308]])
+    with np.errstate(over="ignore"):
+        assert [s.contains(x) for x in X] == [False, True, True, False]
+        with pytest.raises(PointNotInSet):
+            s.member(X[0])
+        assert s.contains_batch(X).tolist() == [False, True, True, False]
+        assert s.contains_batch(np.tile(X, (50, 1))).tolist() == [False, True, True, False] * 50
+
+
 @pytest.mark.parametrize("d", range(1, 21))
 def test_row_broadcasts_have_the_bits_of_the_plain_call(d):
     """_by_rows(ufunc, X, row) gives the bits of ufunc(X, row) for NaN, +-inf

@@ -1,6 +1,7 @@
 """Problem model: bifunctions, validation, residual."""
 
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -209,6 +210,14 @@ def test_problem_rejects_a_non_finite_k(k):
     scheme would stop at once wherever it started."""
     with pytest.raises(ValueError, match="k must be finite; got"):
         UREProblem(pull_bifunction([2.0, 0.0]), Ball(np.zeros(2), 1.0), k=k, r=1.0)
+
+
+@pytest.mark.parametrize("k, r", [(1.0, 5e-324), (1e308, 1e-300)])
+def test_problem_rejects_an_infinite_kappa(k, r):
+    """A finite k and a positive r can still give kappa = k/(2r) = inf; the
+    step lam/(1 + kappa) would then be 0, so a run would stop at its start."""
+    with pytest.raises(ValidationError, match="^" + re.escape(f"kappa = k/(2r) must be finite; got inf from k={k!r}, r={r!r}") + "$"):
+        UREProblem(pull_bifunction([2.0, 0.0]), Ball(np.zeros(2), 1.0), k=k, r=r)
 
 
 def test_problem_allows_r_inf():

@@ -41,12 +41,12 @@ from proxequil import (
     make_vi_bifunction,
 )
 from proxequil.config import build_problem, parse_config
+from proxequil.geometry import _row_dots
 from proxequil.oracle import (
     MAX_GENERIC_EVALS,
     _grid_argmax,
     _grid_points,
     _inner_lipschitz,
-    _row_dots,
     _vi_scorer,
 )
 from problems import (
@@ -410,6 +410,15 @@ def test_grid_guards():
         )
     with pytest.raises(GridTooLarge):
         grid_solve(ball_pull(), GridSpec(4000))
+
+
+def test_grid_points_refuse_a_box_wider_than_the_floats():
+    """A ball of radius 1e308 has a box 2e308 wide: its spacing overflowed to
+    inf and linspace's nodes to NaN, and the corner (1e308, 1e308) passed
+    the membership test as the oracle point. Now no node is made."""
+    for s in (Ball(np.zeros(2), 1e308), Box(np.full(3, -1e308), np.full(3, 1e308))):
+        with pytest.raises(NonFiniteValue, match=r"^the grid's spacing or a node is not finite \(box "):
+            _grid_points(s, GridSpec(40))
 
 
 def test_grid_solve_rejects_an_inverted_box():

@@ -43,6 +43,7 @@ from proxequil import (
     verify_subproblem_inequality,
     w_map,
 )
+from proxequil import schemes
 from proxequil.schemes import _base_point
 from problems import (
     annulus_pull_inner,
@@ -216,6 +217,38 @@ def test_subproblem_kappa_zero_gamma_zero():
 def test_subproblem_budget_exhaustion():
     with pytest.raises(SubproblemFailed, match="no fixed point to 1e-12 within 1 sweeps"):
         solve_subproblem(ball_pull(), U0, U0, SolverConfig(lam=0.5, gamma=0.0, max_inner=1))
+
+
+def test_subproblem_failure_names_the_tolerance_it_used():
+    with pytest.raises(SubproblemFailed, match="^no fixed point to 0.001 within 1 sweeps$"):
+        schemes._solve_subproblem(ball_pull(), U0, U0, SolverConfig(lam=0.5, gamma=0.0, max_inner=1), 1e-3)
+
+
+def test_first_implicit_step_stops_at_inner_tol(monkeypatch):
+    """Inside a run the step from u_n stops at max(inner_tol, INNER_THETA
+    ||u_n - u_prev||). The first has u_n = u_prev = u0, so it stops at
+    inner_tol and gives the public solve_subproblem's point; later ones
+    stop sooner."""
+    p, cfg, u0 = annulus_pull_inner(), SolverConfig(lam=0.5, gamma=0.2), np.array([0.0, 1.5])
+    solve, tols = schemes._solve_subproblem, []
+    monkeypatch.setattr(schemes, "_solve_subproblem", lambda p, w, z, cfg, tol: tols.append(tol) or solve(p, w, z, cfg, tol))
+    pts = inertial_proximal_solve(p, cfg, u0).points()
+    steps = [0.0, *(float(np.linalg.norm(b - a)) for a, b in zip(pts[:-2], pts[1:-1]))]
+    assert tols == [max(cfg.inner_tol, schemes.INNER_THETA * step) for step in steps]
+    assert tols[0] == cfg.inner_tol < max(tols)
+    assert pts[1].tobytes() == solve_subproblem(p, u0, u0, cfg).tobytes()
+
+
+def test_public_subproblem_stops_at_inner_tol_when_the_iterate_moved():
+    """solve_subproblem keeps its contract away from a fixed point: from
+    u_n 0.51 away from u_prev, where a run would stop at 0.0051, one more
+    sweep from its point moves it by at most inner_tol."""
+    p, u_n, u_prev, cfg = _affine_step("ball", 3, 0)
+    assert schemes.INNER_THETA * np.linalg.norm(u_n - u_prev) > 1e-3
+    w = solve_subproblem(p, u_n, u_prev, cfg)
+    _, z = _base_point(p, u_n, u_prev, cfg)
+    g = p.feasible_set.project(z - cfg.lam / (1.0 + p.kappa) * p.bifunction.grad_v(w, w))
+    assert np.linalg.norm(g - w) <= cfg.inner_tol
 
 
 def _picard(p, u_n, u_prev, cfg):
@@ -468,6 +501,24 @@ def test_fejer_check_degenerate_traces():
     assert rep.n_pairs == 0
     with pytest.raises(EmptyTrace):
         fejer_check(Trace([], Status.CONVERGED), SOLUTION, epsilon=0.5)
+
+
+def test_fejer_check_refuses_what_overflows():
+    """(1 + epsilon)^2 raised a bare OverflowError for epsilon from 2^512 - 1
+    on, and points far from u* overflow the squared distances. Each is now a
+    NonFiniteValue, and under tier-1's error::RuntimeWarning nothing
+    overflows on the way there. The largest epsilon whose square is finite
+    still overflows the margins."""
+    trace = proximal_solve(ball_pull(), SolverConfig(lam=0.5), U0)
+    with pytest.raises(NonFiniteValue, match=r"^\(1 \+ epsilon\)\^2 overflows; epsilon = 5e\+307$"):
+        fejer_check(trace, SOLUTION, epsilon=5e307)
+    with pytest.raises(NonFiniteValue, match=r"^\(1 \+ epsilon\)\^2 overflows"):
+        fejer_check(trace, SOLUTION, epsilon=2.0**512)
+    with pytest.raises(NonFiniteValue, match="^a Fejer margin is not finite"):
+        fejer_check(trace, SOLUTION, epsilon=math.nextafter(2.0**512, 0.0) - 1.0)
+    far = [TraceRecord(0, np.array([1e200, 0.0]), 0.0, 1.0), TraceRecord(1, np.array([-1e200, 0.0]), 1.0, 1.0)]
+    with pytest.raises(NonFiniteValue, match="^a Fejer margin is not finite"):
+        fejer_check(Trace(far, Status.CONVERGED), SOLUTION, epsilon=0.5)
 
 
 def test_fejer_check_rejects_a_non_finite_or_negative_epsilon():
